@@ -458,8 +458,23 @@ fn incremental_json(r: &experiments::IncrementalResult) -> String {
         "{{\n  \"experiment\": \"E15\",\n  \"system\": \"mpeg2\",\n  \
          \"full_reanalysis_us\": {:.3},\n  \"per_edit_us\": {:.3},\n  \
          \"render_us\": {:.3},\n  \"speedup\": {:.1},\n  \"batches\": {},\n  \
-         \"full_iters_per_batch\": {},\n  \"edit_iters_per_batch\": {}\n}}\n",
-        r.full_us, r.per_edit_us, r.render_us, r.speedup, r.batches, r.full_iters, r.edit_iters
+         \"full_iters_per_batch\": {},\n  \"edit_iters_per_batch\": {},\n  \
+         \"soc10k\": {{\"edits\": {}, \"warm_p50_ms\": {:.3}, \"cold_p50_ms\": {:.3}, \
+         \"warm_howard_iters_per_edit\": {:.2}, \"cold_howard_iters_per_edit\": {:.2}, \
+         \"identical\": {}}}\n}}\n",
+        r.full_us,
+        r.per_edit_us,
+        r.render_us,
+        r.speedup,
+        r.batches,
+        r.full_iters,
+        r.edit_iters,
+        r.soc10k.edits,
+        r.soc10k.warm_p50_ms,
+        r.soc10k.cold_p50_ms,
+        r.soc10k.warm_iters_per_edit,
+        r.soc10k.cold_iters_per_edit,
+        r.soc10k.identical
     )
 }
 
@@ -483,13 +498,31 @@ fn run_incremental() {
         "speedup              : {:>9.1} x  (acceptance bar: 50x)",
         r.speedup
     );
+    let row = &r.soc10k;
+    println!(
+        "\nsystem: ordered soc:10k (socgen seed 42); {} seeded reselects",
+        row.edits
+    );
+    println!(
+        "session reselect     : {:>9.2} ms p50, {:>5.2} Howard iterations/edit (warm start; target <= 10 ms)",
+        row.warm_p50_ms, row.warm_iters_per_edit
+    );
+    println!(
+        "cold analysis        : {:>9.2} ms p50, {:>5.2} Howard iterations/edit (max-delay seed)",
+        row.cold_p50_ms, row.cold_iters_per_edit
+    );
+    println!(
+        "identical            : {}",
+        if row.identical { "yes" } else { "NO" }
+    );
+    assert!(row.identical, "session reports must equal cold analyses");
     let json = incremental_json(&r);
     match std::fs::write("BENCH_incremental.json", &json) {
         Ok(()) => println!("\nwrote BENCH_incremental.json"),
         Err(e) => eprintln!("\ncould not write BENCH_incremental.json: {e}"),
     }
     println!(
-        "\n(each figure is a median over {} batches — {} stateless / {} edit iterations",
+        "\n(each MPEG-2 figure is a median over {} batches — {} stateless / {} edit iterations",
         r.batches, r.full_iters, r.edit_iters
     );
     println!(" per batch — because single-iteration timings at this scale are 10-15% noisy;");

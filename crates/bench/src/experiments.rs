@@ -879,6 +879,91 @@ pub struct IncrementalResult {
     pub full_iters: usize,
     /// Iterations per batch on the per-edit and render paths.
     pub edit_iters: usize,
+    /// The paper-scale row: reselects on ordered soc:10k.
+    pub soc10k: ReselectScaleRow,
+}
+
+/// E15's paper-scale row: a seeded sequence of reselect edits on the
+/// ordered soc:10k design (socgen seed 42, one 27,674-vertex SCC), each
+/// applied to a live [`ermes::DeltaState`] (Howard warm-started from the
+/// session's last converged policy) and, for comparison, solved cold
+/// from scratch (Howard from the max-delay seed, which is what every
+/// session edit paid before warm starts).
+#[derive(Debug, Clone)]
+pub struct ReselectScaleRow {
+    /// Edits applied.
+    pub edits: usize,
+    /// Median milliseconds of one session reselect (reprice).
+    pub warm_p50_ms: f64,
+    /// Median milliseconds of a cold `tmg::analyze` of the edited graph.
+    pub cold_p50_ms: f64,
+    /// Howard policy-improvement rounds per edit, session path.
+    pub warm_iters_per_edit: f64,
+    /// Howard policy-improvement rounds per edit, cold solve.
+    pub cold_iters_per_edit: f64,
+    /// Whether every session report equalled the cold analysis.
+    pub identical: bool,
+}
+
+/// Runs E15's soc:10k row: `edits` seeded reselects (process and point
+/// drawn with a fixed xorshift seed) on the ordered soc:10k design.
+///
+/// # Panics
+///
+/// Panics if the generated design fails to order or is not live.
+#[must_use]
+pub fn reselect_scale_row(edits: usize) -> ReselectScaleRow {
+    let soc = socgen::generate(socgen::SocGenConfig::sized(10_000, 15_000, 42));
+    let mut ordered = soc.system.clone();
+    order_channels(&soc.system)
+        .ordering
+        .apply_to(&mut ordered)
+        .expect("Algorithm 1 orders fit their own system");
+    let design = ermes::Design::new(ordered, soc.pareto).expect("one Pareto set per process");
+    let movable: Vec<sysgraph::ProcessId> = design
+        .system()
+        .process_ids()
+        .filter(|&p| design.pareto(p).len() > 1)
+        .collect();
+    let mut st = ermes::DeltaState::open(design);
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut draw = |n: usize| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % n as u64) as usize
+    };
+    let median = |mut xs: Vec<f64>| -> f64 {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
+    let (mut warm_ms, mut cold_ms) = (Vec::new(), Vec::new());
+    let (mut warm_iters, mut cold_iters) = (0u64, 0u64);
+    let mut identical = true;
+    for _ in 0..edits {
+        let p = movable[draw(movable.len())];
+        let point = draw(st.design().pareto(p).len());
+        let before = tmg::howard_stats();
+        let t = Instant::now();
+        st.reselect(p, point, None).expect("valid point");
+        warm_ms.push(t.elapsed().as_secs_f64() * 1e3);
+        let mid = tmg::howard_stats();
+        let t = Instant::now();
+        let cold = tmg::analyze(st.lowered().tmg());
+        cold_ms.push(t.elapsed().as_secs_f64() * 1e3);
+        let after = tmg::howard_stats();
+        warm_iters += mid.delta_since(&before).iterations;
+        cold_iters += after.delta_since(&mid).iterations;
+        identical &= cold == st.report().verdict;
+    }
+    ReselectScaleRow {
+        edits,
+        warm_p50_ms: median(warm_ms),
+        cold_p50_ms: median(cold_ms),
+        warm_iters_per_edit: warm_iters as f64 / edits as f64,
+        cold_iters_per_edit: cold_iters as f64 / edits as f64,
+        identical,
+    }
 }
 
 /// Runs E15: alternates one process of the MPEG-2 encoder between two
@@ -981,6 +1066,7 @@ pub fn incremental_latency() -> IncrementalResult {
         batches: BATCHES,
         full_iters: FULL_ITERS,
         edit_iters: EDIT_ITERS,
+        soc10k: reselect_scale_row(40),
     }
 }
 

@@ -338,6 +338,13 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 ilp.presolve_fixed
             );
         }
+        let howard = tmg::howard_stats();
+        if howard.solves > 0 {
+            println!(
+                "howard solver: {} solves, {} iterations, {} warm-started, {} capped",
+                howard.solves, howard.iterations, howard.warm_solves, howard.capped
+            );
+        }
     }
     Ok(())
 }

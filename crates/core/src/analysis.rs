@@ -7,7 +7,7 @@
 
 use crate::design::Design;
 use sysgraph::{lower_to_tmg, ChannelId, ProcessId};
-use tmg::{Ratio, Verdict};
+use tmg::{PolicyHint, Ratio, Verdict};
 
 /// Performance report of a design under its current ordering/selection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,7 +106,8 @@ pub fn analyze_design(design: &Design) -> PerfReport {
 /// [`tmg::analyze_with_jobs`]).
 #[must_use]
 pub fn analyze_design_with_jobs(design: &Design, jobs: usize) -> PerfReport {
-    analyze_design_inner(design, jobs, None).expect("no cancel token, cannot be cancelled")
+    analyze_design_hinted(design, jobs, None, &mut PolicyHint::new())
+        .expect("no cancel token, cannot be cancelled")
 }
 
 /// [`analyze_design_with_jobs`], but cooperatively cancellable: the
@@ -122,19 +123,20 @@ pub fn analyze_design_cancellable(
     jobs: usize,
     cancel: &parx::CancelToken,
 ) -> Result<PerfReport, parx::Cancelled> {
-    analyze_design_inner(design, jobs, Some(cancel))
+    analyze_design_hinted(design, jobs, Some(cancel), &mut PolicyHint::new())
 }
 
-fn analyze_design_inner(
+/// The one design-analysis path: Howard warm-starts from `hint` and leaves
+/// the converged policies in it (see [`tmg::analyze_with_hint`]). The
+/// report does not depend on the hint.
+pub(crate) fn analyze_design_hinted(
     design: &Design,
     jobs: usize,
     cancel: Option<&parx::CancelToken>,
+    hint: &mut PolicyHint,
 ) -> Result<PerfReport, parx::Cancelled> {
     let lowered = lower_to_tmg(design.system());
-    let verdict = match cancel {
-        Some(token) => tmg::analyze_with_cancel(lowered.tmg(), jobs, token)?,
-        None => tmg::analyze_with_jobs(lowered.tmg(), jobs),
-    };
+    let verdict = tmg::analyze_with_hint(lowered.tmg(), jobs, cancel, hint)?;
     let (critical_processes, critical_channels) = match &verdict {
         Verdict::Live { critical, .. } => (
             lowered.processes_of(&critical.transitions),

@@ -23,12 +23,13 @@
 //! proportional to the hot set rather than to its uptime. Evictions are
 //! counted in [`CacheStats::evictions`].
 
-use crate::analysis::{analyze_design_cancellable, analyze_design_with_jobs, PerfReport};
+use crate::analysis::{analyze_design_hinted, PerfReport};
 use crate::design::Design;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use sysgraph::{ChannelId, ChannelOrdering};
+use tmg::PolicyHint;
 
 /// The memo key: selection vector + statement orders, nothing else.
 ///
@@ -240,7 +241,7 @@ impl EngineCache {
     /// is bit-identical to a direct [`crate::analyze_design_with_jobs`]
     /// call (the cached computation is deterministic).
     pub fn analyze(&self, design: &Design, jobs: usize) -> PerfReport {
-        self.analyze_inner(design, jobs, None)
+        self.analyze_hinted(design, jobs, None, &mut PolicyHint::new())
             .expect("no cancel token, cannot be cancelled")
     }
 
@@ -260,14 +261,19 @@ impl EngineCache {
         jobs: usize,
         cancel: &parx::CancelToken,
     ) -> Result<PerfReport, parx::Cancelled> {
-        self.analyze_inner(design, jobs, Some(cancel))
+        self.analyze_hinted(design, jobs, Some(cancel), &mut PolicyHint::new())
     }
 
-    fn analyze_inner(
+    /// The cache lookup every analysis goes through. A miss analyzes with
+    /// Howard warm-started from `hint` (the caller's run-local policy
+    /// hint); a hit leaves the hint alone. Entries never depend on the
+    /// hint: the analysis result is the same for any start policy.
+    pub(crate) fn analyze_hinted(
         &self,
         design: &Design,
         jobs: usize,
         cancel: Option<&parx::CancelToken>,
+        hint: &mut PolicyHint,
     ) -> Result<PerfReport, parx::Cancelled> {
         let _span = trace::span("cache");
         trace::attr("table", "analysis");
@@ -279,10 +285,7 @@ impl EngineCache {
         }
         self.analysis_misses.fetch_add(1, Ordering::Relaxed);
         trace::attr("cache", "miss");
-        let report = match cancel {
-            Some(token) => analyze_design_cancellable(design, jobs, token)?,
-            None => analyze_design_with_jobs(design, jobs),
-        };
+        let report = analyze_design_hinted(design, jobs, cancel, hint)?;
         // The report is complete here; one last poll keeps a cancelled
         // job from publishing an entry its requester will never read
         // (and lets chaos tests slow this window with a delay fault).

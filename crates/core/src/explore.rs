@@ -8,15 +8,13 @@
 //! latencies. Previously visited configurations are excluded by no-good
 //! cuts; the loop stops when the active optimization proposes no change.
 
-use crate::analysis::{
-    analyze_design, analyze_design_cancellable, analyze_design_with_jobs, target_ratio, PerfReport,
-};
+use crate::analysis::{analyze_design, analyze_design_hinted, target_ratio, PerfReport};
 use crate::cache::EngineCache;
 use crate::design::Design;
 use crate::error::ErmesError;
 use crate::opt::{area_recovery_with, timing_optimization_with, OptContext, OptStrategy};
 use sysgraph::ProcessId;
-use tmg::Ratio;
+use tmg::{PolicyHint, Ratio};
 
 /// Configuration of an exploration run.
 #[derive(Debug, Clone, Copy)]
@@ -83,12 +81,16 @@ impl Default for ExploreOptions<'_> {
 }
 
 impl<'a> ExploreOptions<'a> {
-    fn analyze(&self, design: &Design) -> Result<PerfReport, parx::Cancelled> {
-        match (self.cache, self.cancel) {
-            (Some(cache), Some(token)) => cache.analyze_cancellable(design, self.jobs, token),
-            (Some(cache), None) => Ok(cache.analyze(design, self.jobs)),
-            (None, Some(token)) => analyze_design_cancellable(design, self.jobs, token),
-            (None, None) => Ok(analyze_design_with_jobs(design, self.jobs)),
+    /// Analyzes through the cache when there is one; a computed analysis
+    /// warm-starts Howard from the run's `hint`.
+    fn analyze(
+        &self,
+        design: &Design,
+        hint: &mut PolicyHint,
+    ) -> Result<PerfReport, parx::Cancelled> {
+        match self.cache {
+            Some(cache) => cache.analyze_hinted(design, self.jobs, self.cancel, hint),
+            None => analyze_design_hinted(design, self.jobs, self.cancel, hint),
         }
     }
 
@@ -317,13 +319,17 @@ pub fn explore_with(
     // its given ordering is repaired by reordering right away — deadlock
     // removal is the ordering algorithm's first job (Section 4).
     let total = config.max_iterations;
+    // One Howard warm-start hint for the whole run: consecutive designs
+    // differ in a few selections (and orderings), so each analysis starts
+    // from the previous one's converged policy. It never outlives the run.
+    let mut hint = PolicyHint::new();
     let mut report = options
-        .analyze(&design)
+        .analyze(&design, &mut hint)
         .map_err(|c| cancelled(c, 0, total))?;
     if report.is_deadlock() && config.reorder {
         options.reorder(&mut design);
         report = options
-            .analyze(&design)
+            .analyze(&design, &mut hint)
             .map_err(|c| cancelled(c, 0, total))?;
     }
     let mut iterations = vec![record(
@@ -411,7 +417,7 @@ pub fn explore_with(
                 }
                 orderings.push(sysgraph::ChannelOrdering::of(design.system()));
                 report = options
-                    .analyze(&design)
+                    .analyze(&design, &mut hint)
                     .map_err(|c| cancelled(c, index - 1, total))?;
                 let rec = record(index, action, &report, &design, config.target_cycle_time)?;
                 if improves(&rec, &incumbent) {

@@ -691,6 +691,7 @@ fn metrics_response(inner: &Inner) -> Response {
         ),
     ];
     let ilp = ilp::stats();
+    let howard = tmg::howard_stats();
     let mut sampled_counters: Vec<(&str, &str, u64)> = vec![
         (
             "ermes_worker_restarts_total",
@@ -706,6 +707,21 @@ fn metrics_response(inner: &Inner) -> Response {
             "ermes_ilp_warmstart_hits_total",
             "Node LPs satisfied by simplex basis reuse instead of a cold solve.",
             ilp.warmstart_hits,
+        ),
+        (
+            "ermes_howard_iterations_total",
+            "Howard policy-improvement rounds across all component solves.",
+            howard.iterations,
+        ),
+        (
+            "ermes_howard_warm_solves_total",
+            "Howard component solves started from a previous converged policy.",
+            howard.warm_solves,
+        ),
+        (
+            "ermes_howard_capped_total",
+            "Howard solves that hit the iteration cap and fell back to the parametric solver.",
+            howard.capped,
         ),
         (
             "ermes_session_opened_total",

@@ -228,6 +228,14 @@ fn concurrent_clients_get_cli_identical_responses_and_metrics_add_up() {
         "exploration must have explored branch & bound nodes:\n{metrics}"
     );
     let _ = metric_value(&metrics, "ermes_ilp_warmstart_hits_total");
+    // Every exploration re-analyzes after its first step with Howard
+    // warm-started from the run's previous converged policy.
+    assert!(metric_value(&metrics, "ermes_howard_iterations_total") > 0);
+    assert!(
+        metric_value(&metrics, "ermes_howard_warm_solves_total") > 0,
+        "explorations must warm-start Howard:\n{metrics}"
+    );
+    let _ = metric_value(&metrics, "ermes_howard_capped_total");
     shutdown(addr, handle);
 }
 

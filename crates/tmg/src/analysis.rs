@@ -3,11 +3,13 @@
 //! This is the entry point ERMES calls instead of simulating (Section 3 of
 //! the paper): it classifies the graph as deadlocked (token-free cycle),
 //! live (finite cycle time with a critical cycle), or acyclic, using
-//! Howard's algorithm with the parametric solver as a safety fallback.
+//! Howard's algorithm per strongly connected component, with the
+//! parametric solver as a per-component fallback should policy iteration
+//! hit its iteration cap.
 
 use crate::deadlock::find_token_free_cycle;
 use crate::graph::Tmg;
-use crate::howard::{howard_on_component, CycleRatioResult};
+use crate::howard::{solve_component, with_thread_scratch, CycleRatioResult, PolicyHint};
 use crate::ids::{PlaceId, TransitionId};
 use crate::parametric::max_cycle_ratio_parametric;
 use crate::ratio::Ratio;
@@ -112,7 +114,8 @@ pub fn analyze(graph: &Tmg) -> Verdict {
 /// is therefore bit-identical at any thread count.
 #[must_use]
 pub fn analyze_with_jobs(graph: &Tmg, jobs: usize) -> Verdict {
-    analyze_inner(graph, jobs, None).expect("no cancel token, cannot be cancelled")
+    analyze_with_hint(graph, jobs, None, &mut PolicyHint::new())
+        .expect("no cancel token, cannot be cancelled")
 }
 
 /// [`analyze_with_jobs`], but cooperatively cancellable: every per-SCC
@@ -133,13 +136,29 @@ pub fn analyze_with_cancel(
     jobs: usize,
     cancel: &parx::CancelToken,
 ) -> Result<Verdict, parx::Cancelled> {
-    analyze_inner(graph, jobs, Some(cancel))
+    analyze_with_hint(graph, jobs, Some(cancel), &mut PolicyHint::new())
 }
 
-fn analyze_inner(
+/// The one analysis path: [`analyze_with_cancel`] with Howard warm-started
+/// from `hint`, which is then updated to this graph's converged policies.
+///
+/// A caller that analyzes a sequence of closely related graphs (an
+/// exploration run re-analyzing after each selection change) threads one
+/// hint through the sequence so that each solve starts from the previous
+/// optimum. The hint changes only how many policy-improvement rounds each
+/// solve takes: the verdict, witness included, is bit-identical to
+/// [`analyze_with_jobs`] for any hint (see [`PolicyHint`]). The plain
+/// entry points are this path with an empty hint.
+///
+/// # Errors
+///
+/// [`Cancelled`](parx::Cancelled) when `cancel` fired before the analysis
+/// finished; `hint` then keeps whatever it held before.
+pub fn analyze_with_hint(
     graph: &Tmg,
     jobs: usize,
     cancel: Option<&parx::CancelToken>,
+    hint: &mut PolicyHint,
 ) -> Result<Verdict, parx::Cancelled> {
     let _span = trace::span("analysis");
     if let Some(witness) = find_token_free_cycle(graph) {
@@ -152,61 +171,66 @@ fn analyze_inner(
     // Fan the per-component solves out by index over the flat grouping —
     // one id array instead of one `Vec` per component. Each worker thread
     // reuses its thread-local Howard scratch arena across every component
-    // it drains from the queue.
+    // it drains from the queue, and hands back the converged policy so the
+    // hint is updated once the fan-out joins.
     let indices: Vec<u32> = (0..groups.len() as u32).collect();
-    let results = parx::par_map(jobs, &indices, |i, &c| {
+    let start: &PolicyHint = hint;
+    let solved = parx::par_map(jobs, &indices, |i, &c| {
         let _span = trace::span("howard");
         trace::attr("scc", i);
         let members = groups.group(c as usize);
         trace::attr("nodes", members.len());
-        howard_on_component(&rg, &scc, members, cancel)
+        with_thread_scratch(|scratch| {
+            let result = solve_component(scratch, &rg, &scc, members, start, cancel)?;
+            let heads: Option<Vec<u32>> = scratch.policy_heads(members).map(Iterator::collect);
+            Ok((result, heads))
+        })
     });
+    let solved: Vec<_> = solved.into_iter().collect::<Result<_, _>>()?;
     let mut best: Option<CycleRatioResult> = None;
-    for r in results {
-        if let Some(r) = r? {
+    for (c, (result, heads)) in solved.into_iter().enumerate() {
+        if let Some(heads) = heads {
+            hint.record(groups.group(c), heads);
+        }
+        if let Some(r) = result {
             if best.as_ref().is_none_or(|b| r.ratio > b.ratio) {
                 best = Some(r);
             }
         }
     }
-    // Fallback: if Howard declined (iteration cap) we still owe an exact
-    // answer. The parametric solver is slower but unconditional — poll
-    // the token once more before committing to it.
-    if best.is_none() && crate::parametric::find_any_cycle(&rg).is_some() {
-        if let Some(token) = cancel {
-            token.check()?;
-        }
-        best = max_cycle_ratio_parametric(&rg);
-    }
     Ok(match best {
         None => Verdict::Acyclic,
-        Some(result) => {
-            let places: Vec<PlaceId> = result
-                .cycle_edges
-                .iter()
-                .map(|&e| rg.edges[e].place.expect("edge lowered from a place"))
-                .collect();
-            let transitions: Vec<TransitionId> =
-                places.iter().map(|&p| graph.place(p).consumer()).collect();
-            let delay_sum = transitions
-                .iter()
-                .map(|&t| graph.transition(t).delay())
-                .sum();
-            let token_sum = places
-                .iter()
-                .map(|&p| graph.place(p).initial_tokens())
-                .sum();
-            Verdict::Live {
-                cycle_time: result.ratio,
-                critical: CriticalCycle {
-                    places,
-                    transitions,
-                    delay_sum,
-                    token_sum,
-                },
-            }
-        }
+        Some(result) => live_verdict(graph, &rg, &result),
     })
+}
+
+/// The live verdict for a winning component result: maps the witness's
+/// ratio-graph edges back to places and transitions.
+pub(crate) fn live_verdict(graph: &Tmg, rg: &RatioGraph, result: &CycleRatioResult) -> Verdict {
+    let places: Vec<PlaceId> = result
+        .cycle_edges
+        .iter()
+        .map(|&e| rg.edges[e].place.expect("edge lowered from a place"))
+        .collect();
+    let transitions: Vec<TransitionId> =
+        places.iter().map(|&p| graph.place(p).consumer()).collect();
+    let delay_sum = transitions
+        .iter()
+        .map(|&t| graph.transition(t).delay())
+        .sum();
+    let token_sum = places
+        .iter()
+        .map(|&p| graph.place(p).initial_tokens())
+        .sum();
+    Verdict::Live {
+        cycle_time: result.ratio,
+        critical: CriticalCycle {
+            places,
+            transitions,
+            delay_sum,
+            token_sum,
+        },
+    }
 }
 
 /// Exact cycle time computed with the parametric baseline solver instead
@@ -221,28 +245,7 @@ pub fn analyze_parametric(graph: &Tmg) -> Verdict {
         return Verdict::Acyclic;
     }
     let result = max_cycle_ratio_parametric(&rg).expect("graph is cyclic");
-    let places: Vec<PlaceId> = result
-        .cycle_edges
-        .iter()
-        .map(|&e| rg.edges[e].place.expect("edge lowered from a place"))
-        .collect();
-    let transitions: Vec<TransitionId> =
-        places.iter().map(|&p| graph.place(p).consumer()).collect();
-    Verdict::Live {
-        cycle_time: result.ratio,
-        critical: CriticalCycle {
-            delay_sum: transitions
-                .iter()
-                .map(|&t| graph.transition(t).delay())
-                .sum(),
-            token_sum: places
-                .iter()
-                .map(|&p| graph.place(p).initial_tokens())
-                .sum(),
-            places,
-            transitions,
-        },
-    }
+    live_verdict(graph, &rg, &result)
 }
 
 #[cfg(test)]
@@ -368,6 +371,49 @@ mod tests {
         token.cancel(CancelReason::Deadline);
         let err = analyze_with_cancel(&g, 1, &token).expect_err("token fired");
         assert_eq!(err.reason, CancelReason::Deadline);
+    }
+
+    #[test]
+    fn capped_component_hands_off_alone_and_keeps_the_verdict() {
+        use crate::howard::FORCE_CAP_AT_NODES;
+        use crate::karp::max_cycle_mean_karp;
+        // Two components, every place holding one token (so Karp's cycle
+        // mean is the cycle time): a 2-ring with mean 3 and the critical
+        // 3-ring with a chord, mean 7. Capping the 3-vertex component used
+        // to drop its ratio and report the 2-ring's.
+        let mut b = TmgBuilder::new();
+        let a0 = b.add_transition("a0", 2);
+        let a1 = b.add_transition("a1", 4);
+        b.add_place(a0, a1, 1);
+        b.add_place(a1, a0, 1);
+        let c: Vec<_> = (0..3)
+            .map(|i| b.add_transition(format!("c{i}"), [5, 9, 1][i]))
+            .collect();
+        for i in 0..3 {
+            b.add_place(c[i], c[(i + 1) % 3], 1);
+        }
+        b.add_place(c[1], c[0], 1);
+        b.add_place(a1, c[2], 1);
+        let g = b.build().expect("valid");
+        let uncapped = analyze(&g);
+        let karp = max_cycle_mean_karp(&RatioGraph::from_tmg(&g));
+        assert_eq!(uncapped.cycle_time(), karp);
+        assert_eq!(karp, Some(Ratio::new(7, 1)));
+
+        let before = crate::howard_stats();
+        FORCE_CAP_AT_NODES.with(|cap| cap.set(Some(3)));
+        let capped = analyze(&g);
+        let mut inc = crate::IncrementalAnalysis::new(&g);
+        FORCE_CAP_AT_NODES.with(|cap| cap.set(None));
+        assert!(crate::howard_stats().delta_since(&before).capped >= 2);
+        assert_eq!(capped.cycle_time(), karp);
+        assert_eq!(
+            capped, uncapped,
+            "the fallback witness is the canonical one"
+        );
+        assert_eq!(inc.verdict(), &uncapped);
+        inc.reprice(&g, &[], None).expect("not cancelled");
+        assert_eq!(inc.verdict(), &uncapped);
     }
 
     #[test]

@@ -13,11 +13,39 @@
 //! tokens (infinite ratio — structural deadlock) must be excluded by the
 //! caller, which [`analysis`](crate::analysis) does with the token-free
 //! cycle check.
+//!
+//! # Warm start
+//!
+//! Policy iteration converges from *any* initial policy. A solve therefore
+//! starts each vertex from the edge a [`PolicyHint`] names — the converged
+//! policy of an earlier solve of the same component — and falls back per
+//! vertex to the maximum-delay seed. A cold solve is the same path with an
+//! empty hint. After a small edit (one process's latency) the previous
+//! optimum is usually still optimal or one improvement round away, so the
+//! warm solve takes one or two rounds where the cold one takes dozens.
+//!
+//! # Canonical witness
+//!
+//! The start policy must not leak into the result, or a warm solve could
+//! report a different critical cycle than a cold one. At convergence the
+//! bias values are a potential under which every edge has a non-positive
+//! reduced cost, and the *tight* edges (reduced cost exactly zero) that lie
+//! inside a strongly connected component of the tight subgraph are
+//! precisely the union of all critical cycles — a property of the graph,
+//! whatever potential the iteration happened to end on. The witness is
+//! read off that subgraph deterministically: it starts at the critical
+//! edge with the lowest index and closes by a breadth-first search, in
+//! edge-index order, from that edge's head back to its tail. Cold, warm,
+//! incremental, and capped-fallback solves all share it, so their results
+//! are identical by construction.
 
+use crate::ids::TransitionId;
+use crate::parametric::max_cycle_ratio_parametric;
 use crate::ratio::Ratio;
 use crate::ratio_graph::{EdgeIdx, RatioGraph};
-use crate::scc::SccDecomposition;
+use crate::scc::{tarjan_into, SccDecomposition, TarjanScratch};
 use parx::{CancelToken, Cancelled};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A critical cycle with its exact ratio.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,6 +53,110 @@ pub(crate) struct CycleRatioResult {
     pub ratio: Ratio,
     /// Edge indices of one cycle achieving the ratio, in traversal order.
     pub cycle_edges: Vec<EdgeIdx>,
+}
+
+/// Marks a vertex without a hinted head.
+const NO_HEAD: u32 = u32::MAX;
+
+/// Where Howard's policy iteration starts: for each transition, the head
+/// transition of its policy edge in the last converged solve.
+///
+/// A hint is a plain value owned by whoever re-solves the same graph
+/// repeatedly — [`IncrementalAnalysis`](crate::IncrementalAnalysis) across
+/// session edits, an exploration run across its iterations. It names head
+/// *transitions* rather than edges, so it stays meaningful when a channel
+/// reorder re-lowers the graph and renumbers its places. A hint only
+/// changes how many policy-improvement rounds a solve takes, never its
+/// result: a vertex whose hinted head is missing or no longer adjacent
+/// falls back to the cold seed, and the reported witness is canonical
+/// (see the [module docs](self)).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PolicyHint {
+    /// `heads[v]` is the head vertex of `v`'s policy edge, or [`NO_HEAD`].
+    heads: Vec<u32>,
+}
+
+impl PolicyHint {
+    /// An empty hint: every solve through it starts cold.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Starts `t` from its edge toward `head` in the next solve. Howard
+    /// converges from any start, so any choice is valid; this exists to
+    /// exercise that claim.
+    pub fn set_head(&mut self, t: TransitionId, head: TransitionId) {
+        let v = t.index();
+        if self.heads.len() <= v {
+            self.heads.resize(v + 1, NO_HEAD);
+        }
+        self.heads[v] = u32::try_from(head.index()).expect("transition index fits u32");
+    }
+
+    fn head_of(&self, v: usize) -> Option<u32> {
+        self.heads.get(v).copied().filter(|&h| h != NO_HEAD)
+    }
+
+    /// Records the converged policy of `members` (`heads[i]` belongs to
+    /// `members[i]`).
+    pub(crate) fn record(&mut self, members: &[u32], heads: impl IntoIterator<Item = u32>) {
+        let needed = members.iter().max().map_or(0, |&v| v as usize + 1);
+        if self.heads.len() < needed {
+            self.heads.resize(needed, NO_HEAD);
+        }
+        for (&v, h) in members.iter().zip(heads) {
+            self.heads[v as usize] = h;
+        }
+    }
+}
+
+static SOLVES: AtomicU64 = AtomicU64::new(0);
+static ITERATIONS: AtomicU64 = AtomicU64::new(0);
+static WARM_SOLVES: AtomicU64 = AtomicU64::new(0);
+static CAPPED: AtomicU64 = AtomicU64::new(0);
+
+/// A snapshot of the process-wide Howard counters (see [`howard_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HowardStats {
+    /// Component solves that ran policy iteration (components with at
+    /// least one internal edge).
+    pub solves: u64,
+    /// Policy-improvement rounds across all solves.
+    pub iterations: u64,
+    /// Solves whose start policy took at least one edge from a hint.
+    pub warm_solves: u64,
+    /// Solves that hit the iteration cap and handed the component to the
+    /// parametric solver.
+    pub capped: u64,
+}
+
+impl HowardStats {
+    /// Counter increments between `earlier` and `self` (both from
+    /// [`howard_stats`], with `self` taken later).
+    #[must_use]
+    pub fn delta_since(&self, earlier: &HowardStats) -> HowardStats {
+        HowardStats {
+            solves: self.solves.saturating_sub(earlier.solves),
+            iterations: self.iterations.saturating_sub(earlier.iterations),
+            warm_solves: self.warm_solves.saturating_sub(earlier.warm_solves),
+            capped: self.capped.saturating_sub(earlier.capped),
+        }
+    }
+}
+
+/// Snapshots the process-wide Howard counters. They are cumulative for
+/// the process; ermesd exports them on `/metrics` and the CLI prints them
+/// after `--trace-summary`. Per-run numbers are a
+/// [`delta_since`](HowardStats::delta_since) of two snapshots.
+#[must_use]
+pub fn howard_stats() -> HowardStats {
+    HowardStats {
+        solves: SOLVES.load(Ordering::Relaxed),
+        iterations: ITERATIONS.load(Ordering::Relaxed),
+        warm_solves: WARM_SOLVES.load(Ordering::Relaxed),
+        capped: CAPPED.load(Ordering::Relaxed),
+    }
 }
 
 /// Integer width the policy iteration computes in.
@@ -85,14 +217,18 @@ struct LocalEdge {
     tokens: i64,
 }
 
-/// Reusable working memory for [`howard_on_component_with`].
+/// Reusable working memory for [`solve_component`].
 ///
 /// One solve of a `k`-vertex component needs a dozen short-lived vectors;
 /// allocating them per call dominates the runtime of small solves. Holding
 /// a scratch across calls (as the incremental analyzer does per session)
-/// makes repeated solves allocation-free in the steady state. The scratch
-/// carries **no state between calls** — every field is (re)initialized
-/// before use — so reusing one never changes a result.
+/// makes repeated solves allocation-free in the steady state, witness
+/// extraction included. The scratch carries **no state into a solve** —
+/// every field is (re)initialized before use — so reusing one never
+/// changes a result. Out of a solve it carries exactly one thing: the
+/// converged policy, read back with [`Self::policy_heads`] until the next
+/// solve starts. Where the next solve *starts* is the caller's
+/// [`PolicyHint`], never the scratch.
 #[derive(Debug, Default)]
 pub(crate) struct HowardScratch {
     /// Global vertex -> local index within the current component. Sized to
@@ -102,91 +238,132 @@ pub(crate) struct HowardScratch {
     /// CSR offsets of internal out-edges per local vertex (`k + 1` entries).
     out_start: Vec<usize>,
     /// CSR edge list: internal out-edges grouped by local source vertex,
-    /// in ascending edge-index order within each group (the same order the
-    /// per-vertex `Vec` construction used to produce).
+    /// in ascending edge-index order within each group.
     edges: Vec<LocalEdge>,
     /// Write cursors for the CSR fill pass.
     cursor: Vec<usize>,
     /// Current policy: one index into [`Self::edges`] per local vertex.
     policy: Vec<usize>,
+    /// Whether [`Self::policy`] holds the converged policy of the last
+    /// solve (false while solving, after a cap, and for acyclic
+    /// components).
+    converged: bool,
+    /// Policy-improvement rounds the last solve took (the cap if capped).
+    rounds: usize,
     lambda: Vec<Ratio>,
     /// Bias values for the narrow (overflow-proven-impossible) path.
     bias64: Vec<i64>,
-    /// Bias values for the wide fallback path.
+    /// Bias values for the wide path, and the capped fallback's potential.
     bias128: Vec<i128>,
     /// Evaluation state: 0 = unvisited, 1 = on current path, 2 = resolved.
     state: Vec<u8>,
     /// Current evaluation walk, reused across starts and iterations.
     path: Vec<usize>,
-    /// Cycle-extraction visit positions.
-    seen_at: Vec<usize>,
-    /// Cycle-extraction visit order.
-    order: Vec<usize>,
+    /// Per local edge: zero reduced cost under the final potential.
+    tight: Vec<bool>,
+    /// Tarjan over the tight subgraph.
+    tarjan: TarjanScratch,
+    /// Witness BFS: `(edge, predecessor)` that discovered each vertex, and
+    /// the FIFO queue.
+    bfs_parent: Vec<(usize, usize)>,
+    bfs_queue: Vec<usize>,
 }
 
 impl HowardScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The converged policy of the last solve as one head vertex per
+    /// member (in `members` order), or `None` if that solve did not
+    /// converge. `members` must be the list the solve ran on.
+    pub fn policy_heads<'a>(
+        &'a self,
+        members: &'a [u32],
+    ) -> Option<impl Iterator<Item = u32> + 'a> {
+        self.converged.then(|| {
+            debug_assert_eq!(self.policy.len(), members.len());
+            self.policy
+                .iter()
+                .map(|&e| members[self.edges[e].to as usize])
+        })
+    }
 }
 
 thread_local! {
-    /// Per-thread scratch arena shared by every [`howard_on_component`]
-    /// call on that thread. A `parx` worker draining the per-SCC job queue
-    /// reuses one arena across all the components it solves (and the
-    /// serial path reuses it across whole analyses), so the steady state
-    /// allocates nothing per solve. Safe because the scratch carries no
-    /// state between calls — see [`HowardScratch`].
+    /// Per-thread scratch arena shared by every one-shot analysis on that
+    /// thread. A `parx` worker draining the per-SCC job queue reuses one
+    /// arena across all the components it solves (and the serial path
+    /// reuses it across whole analyses), so the steady state allocates
+    /// nothing per solve. Safe because no state flows from one solve into
+    /// the next through the scratch — see [`HowardScratch`].
     static SCRATCH: std::cell::RefCell<HowardScratch> =
         std::cell::RefCell::new(HowardScratch::new());
 }
 
-/// Runs Howard's algorithm on one strongly connected component, using the
-/// calling thread's scratch arena.
-///
-/// `members` lists the vertices of the component; all cycles through them
-/// are assumed to have positive token sums. Returns `Ok(None)` if the
-/// component contains no cycle (single vertex without self-loop) or if the
-/// iteration cap is hit (callers fall back to the parametric solver), and
-/// `Err(Cancelled)` when `cancel` fires between policy-improvement rounds —
-/// the poll granularity that bounds cancellation latency to one round.
-pub(crate) fn howard_on_component(
-    graph: &RatioGraph,
-    scc: &SccDecomposition,
-    members: &[u32],
-    cancel: Option<&CancelToken>,
-) -> Result<Option<CycleRatioResult>, Cancelled> {
-    SCRATCH.with(|scratch| {
-        howard_on_component_with(&mut scratch.borrow_mut(), graph, scc, members, cancel)
-    })
+/// Runs `f` with the calling thread's scratch arena.
+pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut HowardScratch) -> R) -> R {
+    SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
 }
 
-/// [`howard_on_component`] with caller-provided scratch memory.
+#[cfg(test)]
+thread_local! {
+    /// Test hook: components with exactly this many vertices get an
+    /// iteration cap of zero, forcing the parametric hand-off.
+    pub(crate) static FORCE_CAP_AT_NODES: std::cell::Cell<Option<usize>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// The policy-iteration budget for a `k`-vertex component.
+fn iteration_cap(k: usize) -> usize {
+    #[cfg(test)]
+    if FORCE_CAP_AT_NODES.with(std::cell::Cell::get) == Some(k) {
+        return 0;
+    }
+    64 + 8 * k
+}
+
+/// Solves one strongly connected component exactly: its maximum cycle
+/// ratio and the canonical critical-cycle witness.
 ///
-/// Bit-identical to the plain entry point: the scratch only changes where
-/// the working vectors live, not what the iteration computes.
-pub(crate) fn howard_on_component_with(
+/// `members` lists the vertices of the component; all cycles through them
+/// are assumed to have positive token sums. Policy iteration starts from
+/// `hint` (per vertex, falling back to the maximum-delay seed). If it hits
+/// its iteration cap, this component alone is handed to the parametric
+/// solver — counted in [`howard_stats`] and marked `capped` on the
+/// current trace span — and the witness is extracted the same way, so the
+/// result does not depend on which path produced it.
+///
+/// Returns `Ok(None)` if the component contains no cycle (single vertex
+/// without self-loop), and `Err(Cancelled)` when `cancel` fires between
+/// policy-improvement rounds — the poll granularity that bounds
+/// cancellation latency to one round.
+pub(crate) fn solve_component(
     scratch: &mut HowardScratch,
     graph: &RatioGraph,
     scc: &SccDecomposition,
     members: &[u32],
+    hint: &PolicyHint,
     cancel: Option<&CancelToken>,
 ) -> Result<Option<CycleRatioResult>, Cancelled> {
     let k = members.len();
     let comp = scc.component[members[0] as usize];
+    scratch.converged = false;
     let HowardScratch {
         local,
         out_start,
         edges,
         cursor,
         policy,
+        converged,
+        rounds,
         lambda,
         bias64,
         bias128,
         state,
         path,
-        seen_at,
-        order,
+        tight,
+        ..
     } = scratch;
 
     // Local relabeling. Stale entries for other vertices are never read:
@@ -199,8 +376,8 @@ pub(crate) fn howard_on_component_with(
     }
 
     // Internal edges only, in CSR form. Grouping by counting sort over the
-    // ascending edge-index scan preserves the per-vertex edge order of the
-    // original `Vec<Vec<EdgeIdx>>` construction.
+    // ascending edge-index scan keeps each vertex's edges in ascending
+    // edge-index order, which the witness search relies on.
     out_start.clear();
     out_start.resize(k + 1, 0);
     for e in &graph.edges {
@@ -235,26 +412,26 @@ pub(crate) fn howard_on_component_with(
     // SCC (single vertex) only qualifies with a self-loop, checked above.
     debug_assert!((0..k).all(|u| out_start[u + 1] > out_start[u]));
 
-    // Seed each vertex with its maximum-delay out-edge (first one on ties).
-    // Howard improves the policy monotonically upward, so starting near
-    // the heavy edges reaches the critical cycle in fewer rounds than the
-    // arbitrary first-edge seed; the seed is a pure function of the graph,
-    // keeping the whole iteration deterministic.
+    // Start each vertex from its hinted edge, else from its maximum-delay
+    // out-edge (first one on ties). Howard improves the policy
+    // monotonically upward, so starting near the heavy edges reaches the
+    // critical cycle in fewer rounds than the arbitrary first-edge seed.
+    let mut warm = false;
     policy.clear();
-    policy.extend((0..k).map(|u| {
-        let mut best = out_start[u];
-        for cand in out_start[u] + 1..out_start[u + 1] {
-            let e = &edges[cand];
-            let b = &edges[best];
-            // d1/(t1+1) > d2/(t2+1) by cross multiplication.
-            if i128::from(e.delay) * i128::from(b.tokens + 1)
-                > i128::from(b.delay) * i128::from(e.tokens + 1)
-            {
-                best = cand;
-            }
-        }
-        best
-    }));
+    for (u, &v) in members.iter().enumerate() {
+        let out = out_start[u]..out_start[u + 1];
+        let hinted = hint
+            .head_of(v as usize)
+            .and_then(|h| heaviest_edge(edges, out.clone(), |e| members[e.to as usize] == h));
+        warm |= hinted.is_some();
+        policy.push(hinted.unwrap_or_else(|| {
+            heaviest_edge(edges, out, |_| true).expect("every member has an internal out-edge")
+        }));
+    }
+    SOLVES.fetch_add(1, Ordering::Relaxed);
+    if warm {
+        WARM_SOLVES.fetch_add(1, Ordering::Relaxed);
+    }
     lambda.clear();
     lambda.resize(k, Ratio::zero());
     state.clear();
@@ -281,27 +458,86 @@ pub(crate) fn howard_on_component_with(
     let rc_max = d_max * den_max + num_max * t_max;
     let bias_max = (k as i128 + 1) * rc_max;
     let limit = i128::from(i64::MAX) / 4;
-    let converged = if bias_max < limit && num_max * den_max < limit {
+    let cap = iteration_cap(k);
+    let optimum = if bias_max < limit && num_max * den_max < limit {
         bias64.clear();
         bias64.resize(k, 0i64);
-        iterate::<i64>(
-            edges, out_start, policy, lambda, bias64, state, path, k, cancel,
-        )?
+        let rounds = iterate::<i64>(
+            edges, out_start, policy, lambda, bias64, state, path, cap, cancel,
+        )?;
+        rounds.map(|r| (r, mark_tight(edges, out_start, bias64, lambda[0], tight)))
     } else {
         bias128.clear();
         bias128.resize(k, 0i128);
-        iterate::<i128>(
-            edges, out_start, policy, lambda, bias128, state, path, k, cancel,
-        )?
+        let rounds = iterate::<i128>(
+            edges, out_start, policy, lambda, bias128, state, path, cap, cancel,
+        )?;
+        rounds.map(|r| (r, mark_tight(edges, out_start, bias128, lambda[0], tight)))
     };
-    Ok(converged.map(|best| extract_policy_cycle(edges, policy, best, seen_at, order)))
+    *converged = optimum.is_some();
+    *rounds = optimum.map_or(cap, |(r, _)| r);
+    let ratio = match optimum {
+        Some((_, ratio)) => ratio,
+        None => {
+            // Iteration cap: this component alone goes to the parametric
+            // solver (poll the token once more before committing to it).
+            trace::attr("capped", 1usize);
+            CAPPED.fetch_add(1, Ordering::Relaxed);
+            if let Some(token) = cancel {
+                token.check()?;
+            }
+            let mut sub = RatioGraph::with_nodes(k);
+            for u in 0..k {
+                for e in &edges[out_start[u]..out_start[u + 1]] {
+                    sub.add_edge(u, e.to as usize, e.delay, e.tokens, None);
+                }
+            }
+            let ratio = max_cycle_ratio_parametric(&sub)
+                .expect("a component with internal edges has a cycle")
+                .ratio;
+            longest_potential(edges, out_start, ratio, bias128);
+            mark_tight(edges, out_start, bias128, ratio, tight)
+        }
+    };
+    let result = canonical_witness(scratch);
+    debug_assert_eq!(result.ratio, ratio, "the witness achieves the optimum");
+    Ok(Some(result))
+}
+
+/// Among the edges of `out` accepted by `keep`, the one maximizing
+/// `delay / (tokens + 1)`, first on ties.
+fn heaviest_edge(
+    edges: &[LocalEdge],
+    out: std::ops::Range<usize>,
+    keep: impl Fn(&LocalEdge) -> bool,
+) -> Option<usize> {
+    let mut best: Option<usize> = None;
+    for cand in out {
+        let e = &edges[cand];
+        if !keep(e) {
+            continue;
+        }
+        // d1/(t1+1) > d2/(t2+1) by cross multiplication.
+        if best.is_none_or(|b| {
+            let b = &edges[b];
+            i128::from(e.delay) * i128::from(b.tokens + 1)
+                > i128::from(b.delay) * i128::from(e.tokens + 1)
+        }) {
+            best = Some(cand);
+        }
+    }
+    best
 }
 
 /// The policy-iteration loop: evaluate the current policy, then run one
 /// fused improvement sweep that switches each vertex's policy to any
 /// out-edge offering a lexicographically larger `(cycle ratio, bias)`,
-/// until a fixed point or the iteration cap. Returns the lambda-maximal
-/// vertex on convergence (the witness extraction start), `None` on cap.
+/// until a fixed point or `cap` rounds. Returns the number of rounds on
+/// convergence, `None` on hitting the cap.
+///
+/// At convergence `lambda` is the same optimal ratio at every vertex (in a
+/// strongly connected component no edge may lead to a larger one) and
+/// `bias` is a potential under which no edge has a positive reduced cost.
 ///
 /// The improvement sweep alternates direction by iteration parity. Within
 /// one sweep an improvement at vertex `v` is visible to every vertex
@@ -321,11 +557,11 @@ fn iterate<W: WideInt>(
     bias: &mut [W],
     state: &mut [u8],
     path: &mut Vec<usize>,
-    k: usize,
+    cap: usize,
     cancel: Option<&CancelToken>,
 ) -> Result<Option<usize>, Cancelled> {
-    let max_iterations = 64 + 8 * k;
-    for iteration in 0..max_iterations {
+    let k = policy.len();
+    for iteration in 0..cap {
         if let Some(token) = cancel {
             token.check()?;
         }
@@ -441,49 +677,153 @@ fn iterate<W: WideInt>(
             }
         }
         if !improved {
-            // Converged: the lambda-maximal vertex anchors the witness.
             trace::attr("iters", iteration + 1);
-            let best = (0..k)
-                .max_by(|&a, &b| lambda[a].cmp(&lambda[b]))
-                .expect("component non-empty");
-            return Ok(Some(best));
+            ITERATIONS.fetch_add(iteration as u64 + 1, Ordering::Relaxed);
+            debug_assert!(
+                lambda.iter().all(|&l| l == lambda[0]),
+                "SCC optimum is uniform"
+            );
+            return Ok(Some(iteration + 1));
         }
     }
-    trace::attr("iters", max_iterations);
+    trace::attr("iters", cap);
+    ITERATIONS.fetch_add(cap as u64, Ordering::Relaxed);
     Ok(None)
 }
 
-/// Follows the policy from `start` until a vertex repeats and returns the
-/// cycle reached, with its exact ratio.
-fn extract_policy_cycle(
+/// Marks every edge whose reduced cost under `ratio` is exactly balanced
+/// by `potential` (`rc(u→v) + x(v) == x(u)`), and returns `ratio`.
+/// `potential` must admit no edge with `rc(u→v) + x(v) > x(u)`.
+fn mark_tight<W: WideInt>(
     edges: &[LocalEdge],
-    policy: &[usize],
-    start: usize,
-    seen_at: &mut Vec<usize>,
-    order: &mut Vec<usize>,
-) -> CycleRatioResult {
-    let k = policy.len();
-    seen_at.clear();
-    seen_at.resize(k, usize::MAX);
-    order.clear();
-    let mut v = start;
-    loop {
-        if seen_at[v] != usize::MAX {
-            let cycle_nodes = &order[seen_at[v]..];
-            let cycle_edges: Vec<EdgeIdx> = cycle_nodes
-                .iter()
-                .map(|&u| edges[policy[u]].global as EdgeIdx)
-                .collect();
-            let delay_sum: i64 = cycle_nodes.iter().map(|&u| edges[policy[u]].delay).sum();
-            let token_sum: i64 = cycle_nodes.iter().map(|&u| edges[policy[u]].tokens).sum();
-            return CycleRatioResult {
-                ratio: Ratio::new(delay_sum, token_sum),
-                cycle_edges,
-            };
+    out_start: &[usize],
+    potential: &[W],
+    ratio: Ratio,
+    tight: &mut Vec<bool>,
+) -> Ratio {
+    tight.clear();
+    tight.resize(edges.len(), false);
+    for u in 0..potential.len() {
+        for i in out_start[u]..out_start[u + 1] {
+            let e = &edges[i];
+            let slack = reduced_cost::<W>(e.delay, e.tokens, ratio) + potential[e.to as usize];
+            debug_assert!(slack <= potential[u], "potential admits no positive edge");
+            tight[i] = slack == potential[u];
         }
-        seen_at[v] = order.len();
-        order.push(v);
-        v = edges[policy[v]].to as usize;
+    }
+    ratio
+}
+
+/// Longest-path potential under the optimal `ratio`: `x(u)` is the
+/// largest reduced-cost sum of any walk from `u` (the empty walk counts,
+/// so `x ≥ 0`). Bellman–Ford relaxation terminates because no cycle has a
+/// positive reduced-cost sum at the maximum ratio. Only the capped
+/// fallback needs this; a converged policy iteration supplies its bias.
+fn longest_potential(edges: &[LocalEdge], out_start: &[usize], ratio: Ratio, x: &mut Vec<i128>) {
+    let k = out_start.len() - 1;
+    x.clear();
+    x.resize(k, 0);
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for u in 0..k {
+            for e in &edges[out_start[u]..out_start[u + 1]] {
+                let cand = reduced_cost::<i128>(e.delay, e.tokens, ratio) + x[e.to as usize];
+                if cand > x[u] {
+                    x[u] = cand;
+                    changed = true;
+                }
+            }
+        }
+    }
+}
+
+/// The canonical critical cycle of the component in `scratch`, read off
+/// the tight edges (see the [module docs](self)).
+///
+/// An edge lies on a critical cycle exactly when it is tight and both its
+/// endpoints share a strongly connected component of the tight subgraph:
+/// around any tight cycle the reduced costs telescope to zero, so its
+/// ratio is the optimum; and around a critical cycle they sum to zero
+/// while none is positive, so every edge on it is tight. The witness
+/// starts at the critical edge with the lowest edge index and returns to
+/// its tail along the breadth-first shortest path through critical edges,
+/// scanning each vertex's edges in ascending edge-index order.
+fn canonical_witness(scratch: &mut HowardScratch) -> CycleRatioResult {
+    const NONE: usize = usize::MAX;
+    let HowardScratch {
+        out_start,
+        edges,
+        tight,
+        tarjan,
+        bfs_parent,
+        bfs_queue,
+        ..
+    } = scratch;
+    let k = out_start.len() - 1;
+
+    tarjan_into(
+        tarjan,
+        k,
+        |v| out_start[v]..out_start[v + 1],
+        |_, i| tight[i].then_some(edges[i].to as usize),
+    );
+    let tight_comp = &tarjan.component;
+    let critical =
+        |u: usize, i: usize| tight[i] && tight_comp[edges[i].to as usize] == tight_comp[u];
+
+    // The critical edge with the lowest global index starts the cycle.
+    let mut start: Option<(usize, usize)> = None;
+    for u in 0..k {
+        for i in out_start[u]..out_start[u + 1] {
+            if critical(u, i) && start.is_none_or(|(_, s)| edges[i].global < edges[s].global) {
+                start = Some((u, i));
+            }
+        }
+    }
+    let (tail, first) = start.expect("a converged component has a critical cycle");
+    let head = edges[first].to as usize;
+
+    // Breadth-first search from the head back to the tail.
+    let mut cycle_edges = vec![edges[first].global as EdgeIdx];
+    let (mut delay_sum, mut token_sum) = (edges[first].delay, edges[first].tokens);
+    if head != tail {
+        bfs_parent.clear();
+        bfs_parent.resize(k, (NONE, NONE));
+        bfs_parent[head] = (first, tail);
+        bfs_queue.clear();
+        bfs_queue.push(head);
+        let mut cursor = 0;
+        'search: while cursor < bfs_queue.len() {
+            let w = bfs_queue[cursor];
+            cursor += 1;
+            let out_edges = edges[..out_start[w + 1]].iter().enumerate();
+            for (i, e) in out_edges.skip(out_start[w]) {
+                let x = e.to as usize;
+                if critical(w, i) && bfs_parent[x].0 == NONE {
+                    bfs_parent[x] = (i, w);
+                    if x == tail {
+                        break 'search;
+                    }
+                    bfs_queue.push(x);
+                }
+            }
+        }
+        let mid = cycle_edges.len();
+        let mut v = tail;
+        while v != head {
+            let (i, pred) = bfs_parent[v];
+            debug_assert_ne!(i, NONE, "the tail is reachable within its tight component");
+            cycle_edges.push(edges[i].global as EdgeIdx);
+            delay_sum += edges[i].delay;
+            token_sum += edges[i].tokens;
+            v = pred;
+        }
+        cycle_edges[mid..].reverse();
+    }
+    CycleRatioResult {
+        ratio: Ratio::new(delay_sum, token_sum),
+        cycle_edges,
     }
 }
 
@@ -492,20 +832,38 @@ mod tests {
     use super::*;
     use crate::scc::tarjan;
 
-    fn solve(g: &RatioGraph) -> Option<CycleRatioResult> {
+    fn solve_with(g: &RatioGraph, hint: &PolicyHint) -> Option<CycleRatioResult> {
         let scc = tarjan(g);
         let groups = scc.groups();
         let mut best: Option<CycleRatioResult> = None;
         for c in 0..groups.len() {
-            if let Some(r) =
-                howard_on_component(g, &scc, groups.group(c), None).expect("not cancelled")
-            {
+            let r =
+                with_thread_scratch(|s| solve_component(s, g, &scc, groups.group(c), hint, None))
+                    .expect("not cancelled");
+            if let Some(r) = r {
                 if best.as_ref().is_none_or(|b| r.ratio > b.ratio) {
                     best = Some(r);
                 }
             }
         }
         best
+    }
+
+    fn solve(g: &RatioGraph) -> Option<CycleRatioResult> {
+        solve_with(g, &PolicyHint::new())
+    }
+
+    /// A hint starting every vertex at its `pick`-th out-edge.
+    fn hint_picking(g: &RatioGraph, pick: usize) -> PolicyHint {
+        let mut hint = PolicyHint::new();
+        for v in 0..g.node_count {
+            let out = g.out(v);
+            if !out.is_empty() {
+                let head = g.edges[out[pick % out.len()] as usize].to;
+                hint.set_head(TransitionId::from_index(v), TransitionId::from_index(head));
+            }
+        }
+        hint
     }
 
     #[test]
@@ -518,8 +876,17 @@ mod tests {
         let groups = scc.groups();
         let token = CancelToken::new();
         token.cancel(CancelReason::Disconnected);
-        let err = howard_on_component(&g, &scc, groups.group(0), Some(&token))
-            .expect_err("token already cancelled");
+        let err = with_thread_scratch(|s| {
+            solve_component(
+                s,
+                &g,
+                &scc,
+                groups.group(0),
+                &PolicyHint::new(),
+                Some(&token),
+            )
+        })
+        .expect_err("token already cancelled");
         assert_eq!(err.reason, CancelReason::Disconnected);
     }
 
@@ -553,7 +920,7 @@ mod tests {
         g.add_edge(2, 0, 5, 1, None);
         let r = solve(&g).expect("cycles exist");
         assert_eq!(r.ratio, Ratio::new(9, 1));
-        assert_eq!(r.cycle_edges.len(), 2);
+        assert_eq!(r.cycle_edges, vec![2, 3]);
     }
 
     #[test]
@@ -593,6 +960,7 @@ mod tests {
         g.add_edge(1, 0, 9, 1, None); // ratio 5 with first edge <- critical
         let r = solve(&g).expect("cycles exist");
         assert_eq!(r.ratio, Ratio::new(10, 2));
+        assert_eq!(r.cycle_edges, vec![0, 2]);
     }
 
     #[test]
@@ -607,6 +975,88 @@ mod tests {
         g.add_edge(1, 3, 2, 1, None);
         let r = solve(&g).expect("cycles exist");
         assert_eq!(r.ratio, Ratio::new(15, 1));
+    }
+
+    #[test]
+    fn two_equal_critical_cycles_yield_the_lowest_edge_cycle_from_any_start() {
+        // Two ratio-4 cycles through vertex 0: A = 0->1->0 (edges 2, 3)
+        // and B = 0->2->0 (edges 0, 1), plus a ratio-2 loop. The witness
+        // is the critical cycle through the lowest critical edge, 0, and
+        // it starts there — whichever cycle the policy settles on.
+        let mut g = RatioGraph::with_nodes(4);
+        g.add_edge(0, 2, 5, 1, None); // 0  B
+        g.add_edge(2, 0, 3, 1, None); // 1  B
+        g.add_edge(0, 1, 6, 1, None); // 2  A
+        g.add_edge(1, 0, 2, 1, None); // 3  A
+        g.add_edge(1, 3, 1, 1, None); // 4
+        g.add_edge(3, 1, 3, 1, None); // 5  ratio-2 loop
+        let cold = solve(&g).expect("cycles exist");
+        assert_eq!(cold.ratio, Ratio::new(4, 1));
+        assert_eq!(cold.cycle_edges, vec![0, 1]);
+        for pick in 0..3 {
+            assert_eq!(
+                solve_with(&g, &hint_picking(&g, pick)),
+                Some(cold.clone()),
+                "pick {pick}"
+            );
+        }
+    }
+
+    #[test]
+    fn witness_closes_by_the_shortest_critical_path() {
+        // Every edge is critical (all ratio-1 cycles with one token per
+        // edge and unit delays). The lowest edge 0 -> 1 closes through
+        // the direct chord 1 -> 0 (edge 3), not the long way round.
+        let mut g = RatioGraph::with_nodes(3);
+        g.add_edge(0, 1, 1, 1, None); // 0
+        g.add_edge(1, 2, 1, 1, None); // 1
+        g.add_edge(2, 0, 1, 1, None); // 2
+        g.add_edge(1, 0, 1, 1, None); // 3
+        let r = solve(&g).expect("cycles exist");
+        assert_eq!(r.cycle_edges, vec![0, 3]);
+        assert_eq!(solve_with(&g, &hint_picking(&g, 1)), Some(r));
+    }
+
+    #[test]
+    fn warm_start_from_the_converged_policy_takes_one_round() {
+        let mut g = RatioGraph::with_nodes(8);
+        for i in 0..8 {
+            g.add_edge(
+                i,
+                (i + 1) % 8,
+                1 + (i as i64 * 7) % 5,
+                i64::from(i % 3 == 0),
+                None,
+            );
+            g.add_edge(i, (i + 3) % 8, (i as i64 * 5) % 9, 1, None);
+        }
+        let scc = tarjan(&g);
+        let members = scc.groups().group(0).to_vec();
+        assert_eq!(members.len(), 8);
+        let mut scratch = HowardScratch::new();
+        let mut hint = PolicyHint::new();
+        let cold =
+            solve_component(&mut scratch, &g, &scc, &members, &hint, None).expect("not cancelled");
+        assert!(scratch.rounds > 1, "the cold seed is not already optimal");
+        hint.record(&members, scratch.policy_heads(&members).expect("converged"));
+        let warm =
+            solve_component(&mut scratch, &g, &scc, &members, &hint, None).expect("not cancelled");
+        assert_eq!(scratch.rounds, 1);
+        assert_eq!(warm, cold);
+    }
+
+    #[test]
+    fn capped_component_falls_back_to_the_same_result() {
+        let mut g = RatioGraph::with_nodes(5);
+        for i in 0..5 {
+            g.add_edge(i, (i + 1) % 5, 2 + i as i64, i64::from(i != 2), None);
+        }
+        g.add_edge(3, 1, 9, 1, None);
+        let converged = solve(&g).expect("cycles exist");
+        FORCE_CAP_AT_NODES.with(|c| c.set(Some(5)));
+        let capped = solve(&g);
+        FORCE_CAP_AT_NODES.with(|c| c.set(None));
+        assert_eq!(capped, Some(converged));
     }
 
     #[test]
@@ -628,15 +1078,18 @@ mod tests {
         let mem_big = scc_big.groups();
         let mem_small = scc_small.groups();
 
+        let hint = PolicyHint::new();
         let mut scratch = HowardScratch::new();
         for _ in 0..3 {
             for (g, scc, members) in [
                 (&big, &scc_big, mem_big.group(0)),
                 (&small, &scc_small, mem_small.group(0)),
             ] {
-                let reused = howard_on_component_with(&mut scratch, g, scc, members, None)
+                let reused = solve_component(&mut scratch, g, scc, members, &hint, None)
                     .expect("not cancelled");
-                let fresh = howard_on_component(g, scc, members, None).expect("not cancelled");
+                let fresh =
+                    solve_component(&mut HowardScratch::new(), g, scc, members, &hint, None)
+                        .expect("not cancelled");
                 assert_eq!(reused, fresh);
             }
         }

@@ -17,7 +17,6 @@ use crate::scc::tarjan;
 /// this is only meaningful as a cross-check on graphs where every token
 /// count is 1.
 #[must_use]
-#[cfg_attr(not(test), allow(dead_code))]
 pub(crate) fn max_cycle_mean_karp(graph: &RatioGraph) -> Option<Ratio> {
     let scc = tarjan(graph);
     let groups = scc.groups();

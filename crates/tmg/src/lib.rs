@@ -68,23 +68,45 @@ mod scc;
 mod sim;
 
 pub use analysis::{
-    analyze, analyze_parametric, analyze_with_cancel, analyze_with_jobs, CriticalCycle, Verdict,
+    analyze, analyze_parametric, analyze_with_cancel, analyze_with_hint, analyze_with_jobs,
+    CriticalCycle, Verdict,
 };
 pub use deadlock::find_token_free_cycle;
 pub use dot::to_dot;
 pub use error::TmgError;
 pub use graph::{Marking, Place, Tmg, TmgBuilder, Transition};
+pub use howard::{howard_stats, HowardStats, PolicyHint};
 pub use ids::{PlaceId, TransitionId};
 pub use incremental::IncrementalAnalysis;
 pub use ratio::Ratio;
 pub use sim::{simulate, SimulationOutcome};
+
+/// Karp's maximum cycle mean of `graph` — an independent O(V·E) oracle
+/// for the cycle time of graphs whose places all hold exactly one token
+/// (there the cycle mean *is* the cycle ratio). Test support for the
+/// differential suites; not part of the stable API.
+///
+/// # Panics
+///
+/// Panics if some place does not hold exactly one token.
+#[doc(hidden)]
+#[must_use]
+pub fn karp_cycle_time(graph: &Tmg) -> Option<Ratio> {
+    assert!(
+        graph
+            .place_ids()
+            .all(|p| graph.place(p).initial_tokens() == 1),
+        "Karp's cycle mean equals the cycle time only with one token per place"
+    );
+    karp::max_cycle_mean_karp(&ratio_graph::RatioGraph::from_tmg(graph))
+}
 
 #[cfg(test)]
 mod oracle_tests {
     //! Cross-validation of the three solvers against the brute-force
     //! cycle-enumeration oracle on a deterministic family of graphs.
     use crate::cycles::{max_cycle_ratio_brute, BruteForceOutcome};
-    use crate::howard::howard_on_component;
+    use crate::howard::{solve_component, with_thread_scratch, PolicyHint};
     use crate::karp::max_cycle_mean_karp;
     use crate::parametric::{find_any_cycle, max_cycle_ratio_parametric};
     use crate::ratio::Ratio;
@@ -96,8 +118,10 @@ mod oracle_tests {
         let groups = scc.groups();
         let mut best: Option<Ratio> = None;
         for c in 0..groups.len() {
+            let hint = PolicyHint::new();
             if let Some(r) =
-                howard_on_component(g, &scc, groups.group(c), None).expect("not cancelled")
+                with_thread_scratch(|s| solve_component(s, g, &scc, groups.group(c), &hint, None))
+                    .expect("not cancelled")
             {
                 if best.is_none_or(|b| r.ratio > b) {
                     best = Some(r.ratio);

@@ -62,44 +62,84 @@ impl SccGroups {
 /// algorithm (explicit stack; safe for the 10,000-process benchmarks where
 /// recursion would overflow).
 pub(crate) fn tarjan(graph: &RatioGraph) -> SccDecomposition {
+    let mut scratch = TarjanScratch::default();
+    let count = tarjan_into(
+        &mut scratch,
+        graph.node_count,
+        |v| 0..graph.out(v).len(),
+        |v, i| Some(graph.edges[graph.out(v)[i] as usize].to),
+    );
+    SccDecomposition {
+        component: scratch.component,
+        count,
+    }
+}
+
+/// Reusable working memory for [`tarjan_into`].
+#[derive(Debug, Default)]
+pub(crate) struct TarjanScratch {
+    index: Vec<usize>,
+    lowlink: Vec<usize>,
+    stack: Vec<usize>,
+    /// Explicit DFS frames: (vertex, next out-edge position to explore).
+    frames: Vec<(usize, usize)>,
+    /// The component of every vertex after [`tarjan_into`], numbered in
+    /// reverse topological order.
+    pub component: Vec<usize>,
+}
+
+/// Iterative Tarjan over the vertices `0..n` of an implicit graph: the
+/// out-edges of `v` are the positions `out(v)`, and `head(v, pos)` is the
+/// head of the edge at `pos`, or `None` to leave that edge out. Fills
+/// `scratch.component` and returns the number of components.
+pub(crate) fn tarjan_into(
+    scratch: &mut TarjanScratch,
+    n: usize,
+    out: impl Fn(usize) -> std::ops::Range<usize>,
+    head: impl Fn(usize, usize) -> Option<usize>,
+) -> usize {
     const UNVISITED: usize = usize::MAX;
-    let n = graph.node_count;
-    let mut index = vec![UNVISITED; n];
-    let mut lowlink = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut component = vec![UNVISITED; n];
+    let TarjanScratch {
+        index,
+        lowlink,
+        stack,
+        frames,
+        component,
+    } = scratch;
+    index.clear();
+    index.resize(n, UNVISITED);
+    lowlink.clear();
+    lowlink.resize(n, 0);
+    component.clear();
+    component.resize(n, UNVISITED);
+    stack.clear();
+    frames.clear();
     let mut next_index = 0usize;
     let mut count = 0usize;
-
-    // Explicit DFS frames: (vertex, next out-edge position to explore).
-    let mut frames: Vec<(usize, usize)> = Vec::new();
 
     for start in 0..n {
         if index[start] != UNVISITED {
             continue;
         }
-        frames.push((start, 0));
+        frames.push((start, out(start).start));
         index[start] = next_index;
         lowlink[start] = next_index;
         next_index += 1;
         stack.push(start);
-        on_stack[start] = true;
 
         while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
-            let out = graph.out(v);
-            if *pos < out.len() {
-                let e = out[*pos] as usize;
+            if *pos < out(v).end {
+                let at = *pos;
                 *pos += 1;
-                let w = graph.edges[e].to;
+                let Some(w) = head(v, at) else { continue };
                 if index[w] == UNVISITED {
                     index[w] = next_index;
                     lowlink[w] = next_index;
                     next_index += 1;
                     stack.push(w);
-                    on_stack[w] = true;
-                    frames.push((w, 0));
-                } else if on_stack[w] {
+                    frames.push((w, out(w).start));
+                } else if component[w] == UNVISITED {
+                    // Visited but not yet assigned: still on the stack.
                     lowlink[v] = lowlink[v].min(index[w]);
                 }
             } else {
@@ -110,7 +150,6 @@ pub(crate) fn tarjan(graph: &RatioGraph) -> SccDecomposition {
                 if lowlink[v] == index[v] {
                     loop {
                         let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
                         component[w] = count;
                         if w == v {
                             break;
@@ -121,8 +160,7 @@ pub(crate) fn tarjan(graph: &RatioGraph) -> SccDecomposition {
             }
         }
     }
-
-    SccDecomposition { component, count }
+    count
 }
 
 #[cfg(test)]

@@ -6,7 +6,10 @@
 //! actually achieves — the claim at the heart of the paper's Section 3.
 
 use proptest::prelude::*;
-use tmg::{analyze, analyze_parametric, find_token_free_cycle, simulate, Tmg, TmgBuilder, Verdict};
+use tmg::{
+    analyze, analyze_parametric, analyze_with_hint, find_token_free_cycle, simulate,
+    IncrementalAnalysis, PolicyHint, Ratio, Tmg, TmgBuilder, TransitionId, Verdict,
+};
 
 /// Strategy: a random TMG built as a ring (guaranteeing strong
 /// connectivity and at least one cycle) plus random chord places.
@@ -31,6 +34,94 @@ fn arb_ring_tmg() -> impl Strategy<Value = Tmg> {
             }
             b.build().expect("non-empty")
         })
+}
+
+/// Strategy: a tie-heavy TMG — a ring plus many chords, delays drawn
+/// from `1..=2` so that many cycles share the maximum ratio. With
+/// `unit_tokens` every place holds one token (Karp's cycle mean is then
+/// the cycle time); otherwise chords carry 0..=2 tokens and the ring's
+/// first place one, so zero-token cycles (deadlocks) occur too.
+fn arb_tie_heavy_tmg(unit_tokens: bool) -> impl Strategy<Value = Tmg> {
+    (
+        2usize..10,
+        proptest::collection::vec(1u64..3, 10),
+        proptest::collection::vec((0usize..10, 0usize..10, 0u64..3), 2..16),
+    )
+        .prop_map(move |(n, delays, chords)| {
+            let mut b = TmgBuilder::new();
+            let ts: Vec<_> = (0..n)
+                .map(|i| b.add_transition(format!("t{i}"), delays[i]))
+                .collect();
+            for i in 0..n {
+                let tokens = if unit_tokens { 1 } else { u64::from(i == 0) };
+                b.add_place(ts[i], ts[(i + 1) % n], tokens);
+            }
+            for (a, c, tokens) in chords {
+                let tokens = if unit_tokens { 1 } else { tokens };
+                b.add_place(ts[a % n], ts[c % n], tokens);
+            }
+            b.build().expect("non-empty")
+        })
+}
+
+/// A random start policy: each transition starts toward the consumer of
+/// one of its output places, drawn with a seeded xorshift.
+fn random_hint(g: &Tmg, seed: u64) -> PolicyHint {
+    let mut x = seed | 1;
+    let mut hint = PolicyHint::new();
+    for t in g.transition_ids() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let out = g.output_places(t);
+        if !out.is_empty() {
+            let p = out[(x % out.len() as u64) as usize];
+            hint.set_head(t, g.place(p).consumer());
+        }
+    }
+    hint
+}
+
+/// Asserts that `verdict`'s witness is a closed walk achieving its cycle
+/// time, which must equal `oracle`.
+fn check_witness(g: &Tmg, verdict: &Verdict, oracle: Option<Ratio>) -> Result<(), TestCaseError> {
+    if let Verdict::Live {
+        cycle_time,
+        critical,
+    } = verdict
+    {
+        prop_assert_eq!(Some(*cycle_time), oracle);
+        let k = critical.places.len();
+        prop_assert!(k > 0);
+        let mut delay = 0u64;
+        let mut tokens = 0u64;
+        for i in 0..k {
+            let p = g.place(critical.places[i]);
+            let q = g.place(critical.places[(i + 1) % k]);
+            prop_assert_eq!(p.consumer(), q.producer());
+            prop_assert_eq!(critical.transitions[i], p.consumer());
+            delay += g.transition(p.consumer()).delay();
+            tokens += p.initial_tokens();
+        }
+        prop_assert_eq!((delay, tokens), (critical.delay_sum, critical.token_sum));
+        prop_assert_eq!(*cycle_time, Ratio::new(delay as i64, tokens as i64));
+    }
+    Ok(())
+}
+
+/// Solves `g` cold and from several random start policies, then once
+/// more from the converged policy; every verdict — cycle time *and*
+/// witness — must be the cold one.
+fn check_start_independence(g: &Tmg, seed: u64) -> Result<Verdict, TestCaseError> {
+    let cold = analyze(g);
+    for start in 0..4 {
+        let mut hint = random_hint(g, seed.wrapping_add(start));
+        let warm = analyze_with_hint(g, 1, None, &mut hint).expect("not cancelled");
+        prop_assert_eq!(&warm, &cold, "start policy {}", start);
+        let again = analyze_with_hint(g, 2, None, &mut hint).expect("not cancelled");
+        prop_assert_eq!(&again, &cold, "re-solve from the converged policy");
+    }
+    Ok(cold)
 }
 
 proptest! {
@@ -119,6 +210,39 @@ proptest! {
         // (no deadlock can appear in a live marked graph).
         if !before.is_deadlock() {
             prop_assert!(marking.enabled(&g).next().is_some());
+        }
+    }
+
+    /// Warm start and the canonical witness on unit-token, tie-heavy
+    /// graphs: the verdict does not depend on the start policy, and the
+    /// witness is a closed walk whose ratio is Karp's cycle mean.
+    #[test]
+    fn warm_start_witness_is_start_independent_unit_tokens(
+        g in arb_tie_heavy_tmg(true),
+        seed in any::<u64>(),
+    ) {
+        let cold = check_start_independence(&g, seed)?;
+        check_witness(&g, &cold, tmg::karp_cycle_time(&g))?;
+    }
+
+    /// The same on general token counts, against the parametric solver;
+    /// also re-prices random delay edits incrementally (warm-started from
+    /// the session's own hint) against a cold analysis of each state.
+    #[test]
+    fn warm_start_witness_is_start_independent_general_tokens(
+        g in arb_tie_heavy_tmg(false),
+        seed in any::<u64>(),
+        edits in proptest::collection::vec((0usize..10, 1u64..4), 1..6),
+    ) {
+        let cold = check_start_independence(&g, seed)?;
+        check_witness(&g, &cold, analyze_parametric(&g).cycle_time())?;
+        let mut g = g;
+        let mut inc = IncrementalAnalysis::new(&g);
+        for (t, delay) in edits {
+            let t = TransitionId::from_index(t % g.transition_count());
+            g.set_transition_delay(t, delay);
+            inc.reprice(&g, &[t], None).expect("not cancelled");
+            prop_assert_eq!(inc.verdict(), &analyze(&g));
         }
     }
 }
