@@ -5,11 +5,11 @@
 //! These are the four paths the CSR refactor touches — per-node `Vec`
 //! adjacency replaced by offset arrays in the lowering and the ratio
 //! graph, a reused Howard scratch arena, in-place swap evaluation in
-//! refinement, and SoA column streaming in the presolve — so this suite
-//! is where a layout regression shows up first.
+//! refinement, and the per-class dominance presolve of the MCKP engine —
+//! so this suite is where a layout regression shows up first.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ilp::{Problem, Sense};
+use ilp::{McItem, Mckp, Row};
 use std::hint::black_box;
 use sysgraph::lower_to_tmg;
 
@@ -59,39 +59,29 @@ fn bench_order(c: &mut Criterion) {
     group.finish();
 }
 
-/// Area-recovery-shaped MCKP: one `Σx = 1` group per process, four
-/// implementations each, and one shared capacity row naming every tenth
-/// group — the shape whose presolve the SoA column table streams over.
+/// Area-recovery-shaped MCKP: one class per process, four
+/// implementations each, with latency weights only in every tenth class
+/// (the critical ones).
 ///
-/// Deliberately presolve-bound: in non-capacity groups the best-objective
-/// implementation dominates the rest (no other rows), so dominance
-/// collapses 90 % of the groups; in capacity groups objective and usage
-/// both rise with `i`, so every pairwise two-pointer merge runs but
-/// nothing prunes. The capacity is non-binding and objectives within a
-/// group are strict, so dominance has real work at every rung.
-fn mckp_problem(groups: usize) -> Problem {
-    let mut p = Problem::new();
-    let mut cap_terms = Vec::new();
-    for g in 0..groups {
-        let vars: Vec<_> = (0..4)
-            .map(|i| {
-                let v = p.add_binary(format!("x{g}_{i}"));
-                p.set_objective_coeff(v, i as f64 * (1.0 + (g % 5) as f64 * 0.1));
-                if g % 10 == 0 {
-                    cap_terms.push((v, (i + 1) as f64));
-                }
-                v
+/// Deliberately presolve-bound: in weightless classes the best-value
+/// implementation dominates the rest, so dominance collapses 90 % of the
+/// classes; in weighted classes value and weight both rise with `i`, so
+/// every pairwise test runs but nothing prunes.
+fn mckp_problem(classes: usize) -> Mckp {
+    Mckp {
+        classes: (0..classes)
+            .map(|g| {
+                (0..4)
+                    .map(|i| McItem {
+                        value: i as f64 * (1.0 + (g % 5) as f64 * 0.1),
+                        weight: if g % 10 == 0 { i as i64 + 1 } else { 0 },
+                    })
+                    .collect()
             })
-            .collect();
-        p.add_constraint(
-            format!("one{g}"),
-            vars.iter().map(|&v| (v, 1.0)).collect(),
-            Sense::Eq,
-            1.0,
-        );
+            .collect(),
+        row: Row::AtMost(classes as i64 / 2 + 8),
+        forbidden: Vec::new(),
     }
-    p.add_constraint("cap", cap_terms, Sense::Le, groups as f64 / 2.0 + 8.0);
-    p
 }
 
 fn bench_presolve(c: &mut Criterion) {
@@ -99,13 +89,13 @@ fn bench_presolve(c: &mut Criterion) {
     group.sample_size(10);
     for &n in &SIZES {
         let p = mckp_problem(n);
-        // Each non-capacity group pins all four members: three dominated
-        // to 0, the survivor propagated to 1.
+        // Each weightless class decides all four items: three dominated,
+        // the survivor fixed.
         let expected = (n - n.div_ceil(10)) * 4;
         assert_eq!(
             ilp::presolve_eliminated(&p),
             expected,
-            "dominance must collapse every non-capacity group"
+            "dominance must collapse every weightless class"
         );
         group.bench_with_input(BenchmarkId::new("presolve", n), &p, |b, p| {
             b.iter(|| black_box(ilp::presolve_eliminated(p)));

@@ -1,33 +1,25 @@
-//! E14 — A/B benchmark of the two exact ILP engines on the MPEG-2
-//! exploration ladder.
+//! E14 — the exact selection engine on the MPEG-2 exploration ladder.
 //!
 //! ```text
 //! ilpbench [--jobs <n>] [--out <path>] [--check-nodes]
 //! ```
 //!
-//! Runs the E13 target ladder (five targets on the MPEG-2 encoder)
-//! twice per engine — cold (empty analysis cache) and warm (re-run
-//! against the filled cache, the iterative-DSE case where the ILP is
-//! the only phase the memo cannot remove) — once with the bounded
-//! branch & bound (`OptStrategy::Exact`) and once with the frozen seed
-//! engine (`OptStrategy::ExactSeed`).
+//! Runs the E13 target ladder (five targets on the MPEG-2 encoder) with
+//! `OptStrategy::Exact` twice — cold (empty analysis cache) and warm
+//! (re-run against the filled cache, the iterative-DSE case where
+//! selection is the only phase the memo cannot remove) — and checks:
 //!
-//! The run **fails (exit 1)** when the engines disagree beyond the
-//! solver's 1e-9 optimality tolerance, or when either engine's warm
-//! ladder is not bit-identical to its own cold ladder. Knife-edge ties
-//! — both engines proving optima whose objectives agree within 1e-9
-//! but selecting different micro-architectures — are certified, printed
-//! per target, and tolerated: each engine is deterministic, the tied
-//! selections are alternate optima of the same ILP, and which one a
-//! given search order reaches first is a traversal artifact (the frozen
-//! seed's DFS included). With `--check-nodes` the run additionally
-//! fails if the bounded engine explored *more* branch & bound nodes
-//! than the seed engine on the cold ladder — the regression CI guards
-//! against.
+//! - the cold and warm ladders are byte-identical (trace digests and
+//!   final selections);
+//! - every target's trace digest equals the one pinned in
+//!   `crates/mpeg2sys/tests/fixtures/exact_ladder.txt`, produced by the
+//!   general simplex + branch & bound engine the MCKP engine replaced;
+//! - with `--check-nodes`, the cold ladder explores at most
+//!   [`NODE_CEILING`] branch & bound nodes.
 //!
-//! `--out` writes the measurements as JSON (same counters as
-//! `BENCH_ilp.json` from `repro --experiment phases`, split by engine
-//! and stage).
+//! Any failed check exits 1. `--out` writes the measurements as JSON
+//! (the same counters as `BENCH_ilp.json` from `repro --experiment
+//! phases`, per stage).
 
 use std::time::Instant;
 
@@ -35,24 +27,23 @@ use ermes::{ExplorationConfig, ExplorationTrace, ExploreOptions, OptStrategy};
 
 const TARGETS: [u64; 5] = [900_000, 1_200_000, 1_500_000, 1_800_000, 2_400_000];
 
+/// Branch & bound nodes (roots included) the MCKP engine explores on the
+/// cold ladder; a change that needs more is a search regression.
+const NODE_CEILING: u64 = 3_961;
+
+const PINNED: &str = include_str!("../../../mpeg2sys/tests/fixtures/exact_ladder.txt");
+
 struct StageResult {
-    engine: &'static str,
     stage: &'static str,
     wall_ms: f64,
     ilp: ilp::IlpStats,
     traces: Vec<ExplorationTrace>,
 }
 
-/// Explores every ladder target once with the given strategy, sharing
-/// `cache` across targets (so a "warm" call after a "cold" one probes a
-/// filled analysis/ordering cache and spends its time in the solver).
-fn run_ladder(
-    engine: &'static str,
-    stage: &'static str,
-    strategy: OptStrategy,
-    jobs: usize,
-    cache: &ermes::EngineCache,
-) -> StageResult {
+/// Explores every ladder target once, sharing `cache` across targets
+/// (so a "warm" call after a "cold" one probes a filled analysis and
+/// ordering cache and spends its time in the solver).
+fn run_ladder(stage: &'static str, jobs: usize, cache: &ermes::EngineCache) -> StageResult {
     let (design, _) = mpeg2sys::mpeg2_design();
     let options = ExploreOptions {
         jobs,
@@ -65,7 +56,7 @@ fn run_ladder(
         .iter()
         .map(|&target| {
             let mut config = ExplorationConfig::with_target(target);
-            config.strategy = strategy;
+            config.strategy = OptStrategy::Exact;
             ermes::explore_with(design.clone(), config, &options)
                 .expect("the MPEG-2 encoder explores without error")
         })
@@ -73,7 +64,6 @@ fn run_ladder(
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
     let ilp = ilp::stats().delta_since(&before);
     StageResult {
-        engine,
         stage,
         wall_ms,
         ilp,
@@ -81,119 +71,51 @@ fn run_ladder(
     }
 }
 
-/// Outcome of comparing one target's exploration between two runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Verdict {
-    /// Bit-identical traces, best points, and final selections.
-    Identical,
-    /// The runs fork at a knife-edge tie: at the first differing
-    /// iteration both engines report the same cycle time and areas
-    /// within the solver's 1e-9 optimality tolerance — two alternate
-    /// optimal selections of the same ILP, each proved optimal by its
-    /// engine. Deterministic per engine, legitimate either way.
-    Tie,
-    /// A real divergence: the engines disagree beyond solver tolerance.
-    Diverged,
+/// The pinned digest of `target`, without its section header.
+fn pinned(target: u64) -> &'static str {
+    let key = format!("design mpeg2 target {target}\n");
+    PINNED
+        .split("\n\n")
+        .find_map(|s| s.strip_prefix(key.as_str()))
+        .unwrap_or_else(|| panic!("target {target} is pinned"))
 }
 
-/// Compares two runs target by target, printing every non-identical
-/// case to stderr so a CI failure is diagnosable from the log alone.
-/// Returns the worst verdict observed.
-fn compare(a: &StageResult, b: &StageResult) -> Verdict {
-    let mut worst = Verdict::Identical;
-    let note = |v: Verdict, worst: &mut Verdict| {
-        if v == Verdict::Diverged || *worst == Verdict::Identical {
-            *worst = v;
-        }
-    };
-    for (i, (ta, tb)) in a.traces.iter().zip(&b.traces).enumerate() {
+/// Counts the targets where `cold` and `warm` differ, and where `cold`
+/// differs from the pinned digest, printing each to stderr.
+fn mismatches(cold: &StageResult, warm: &StageResult) -> (usize, usize) {
+    let (mut repro, mut fixture) = (0, 0);
+    for (i, (c, w)) in cold.traces.iter().zip(&warm.traces).enumerate() {
         let target = TARGETS[i];
-        let label = format!("{}/{} vs {}/{}", a.engine, a.stage, b.engine, b.stage);
-        if ta.iterations != tb.iterations {
-            let diff = ta
-                .iterations
-                .iter()
-                .zip(&tb.iterations)
-                .find(|(ra, rb)| ra != rb);
-            match diff {
-                Some((ra, rb)) => {
-                    // A fork whose first difference is a same-cycle-time
-                    // point with areas within the solver's optimality
-                    // tolerance is a certified alternate optimum.
-                    let tie = ra.cycle_time == rb.cycle_time
-                        && ra.action == rb.action
-                        && (ra.area - rb.area).abs() <= 1e-9;
-                    note(
-                        if tie { Verdict::Tie } else { Verdict::Diverged },
-                        &mut worst,
-                    );
-                    eprintln!(
-                        "target {target}: {label} fork at iteration {} ({}):\n  {ra:?}\n  {rb:?}\n  best: CT {} area {:.17} vs CT {} area {:.17}",
-                        ra.index,
-                        if tie { "knife-edge tie, alternate optima" } else { "DIVERGENCE" },
-                        ta.best().cycle_time,
-                        ta.best().area,
-                        tb.best().cycle_time,
-                        tb.best().area,
-                    );
-                }
-                None => {
-                    note(Verdict::Diverged, &mut worst);
-                    eprintln!(
-                        "target {target}: {label}: {} vs {} iterations",
-                        ta.iterations.len(),
-                        tb.iterations.len()
-                    );
-                }
-            }
-        } else if ta.best_index != tb.best_index {
-            note(Verdict::Diverged, &mut worst);
+        if c.digest() != w.digest() || c.design.selection() != w.design.selection() {
+            repro += 1;
+            eprintln!("target {target}: warm ladder differs from cold");
+        }
+        if c.digest().trim_end() != pinned(target) {
+            fixture += 1;
             eprintln!(
-                "target {target}: {label}: best index {} vs {}",
-                ta.best_index, tb.best_index
+                "target {target}: trace differs from the pinned fixture:\n{}",
+                c.digest()
             );
-        } else if ta.design.selection() != tb.design.selection() {
-            // Identical recorded trace (cycle times AND areas bit-equal)
-            // but a different selection behind the best point: an exact
-            // tie between micro-architecture selections of equal area.
-            note(Verdict::Tie, &mut worst);
-            eprintln!("target {target}: {label}: equal trace, alternate equal-area selections");
         }
     }
-    if a.traces.len() != b.traces.len() {
-        note(Verdict::Diverged, &mut worst);
-    }
-    worst
+    (repro, fixture)
 }
 
-fn json_report(jobs: usize, rows: &[&StageResult], same: bool, cross: &str) -> String {
+fn json_report(jobs: usize, rows: &[StageResult], ok: bool) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"experiment\": \"E14\",\n");
     let targets: Vec<String> = TARGETS.iter().map(ToString::to_string).collect();
     out.push_str(&format!("  \"targets\": [{}],\n", targets.join(", ")));
     out.push_str(&format!("  \"jobs\": {},\n", parx::resolve_jobs(jobs)));
-    out.push_str(&format!("  \"identical\": {same},\n"));
-    out.push_str(&format!("  \"cross_engine\": \"{cross}\",\n"));
+    out.push_str(&format!("  \"matches_fixture\": {ok},\n"));
+    out.push_str(&format!("  \"node_ceiling\": {NODE_CEILING},\n"));
     out.push_str("  \"stages\": [\n");
     for (i, row) in rows.iter().enumerate() {
         out.push_str("    {\n");
-        out.push_str(&format!("      \"engine\": \"{}\",\n", row.engine));
         out.push_str(&format!("      \"stage\": \"{}\",\n", row.stage));
         out.push_str(&format!("      \"wall_ms\": {:.3},\n", row.wall_ms));
         out.push_str(&format!("      \"ilp_solves\": {},\n", row.ilp.solves));
         out.push_str(&format!("      \"ilp_nodes\": {},\n", row.ilp.nodes));
-        out.push_str(&format!(
-            "      \"warmstart_hits\": {},\n",
-            row.ilp.warmstart_hits
-        ));
-        out.push_str(&format!(
-            "      \"warmstart_misses\": {},\n",
-            row.ilp.warmstart_misses
-        ));
-        out.push_str(&format!(
-            "      \"warmstart_rate\": {:.4},\n",
-            row.ilp.warmstart_rate()
-        ));
         out.push_str(&format!(
             "      \"presolve_fixed\": {}\n",
             row.ilp.presolve_fixed
@@ -229,71 +151,32 @@ fn main() {
         std::process::exit(2);
     });
 
-    println!("E14 — exact-engine A/B on the MPEG-2 ladder {TARGETS:?}");
+    println!("E14 — exact selection engine on the MPEG-2 ladder {TARGETS:?}");
     println!("jobs: {}\n", parx::resolve_jobs(jobs));
 
-    // One cache per engine: cold fills it, warm reuses it. The caches
-    // memoize analysis and ordering only, never solver state, so they
-    // cannot leak results between engines anyway — separate caches just
-    // keep the cold stages comparable.
-    let bounded_cache = ermes::EngineCache::new();
-    let seed_cache = ermes::EngineCache::new();
+    let cache = ermes::EngineCache::new();
     let rows = [
-        run_ladder("bounded", "cold", OptStrategy::Exact, jobs, &bounded_cache),
-        run_ladder("bounded", "warm", OptStrategy::Exact, jobs, &bounded_cache),
-        run_ladder("seed", "cold", OptStrategy::ExactSeed, jobs, &seed_cache),
-        run_ladder("seed", "warm", OptStrategy::ExactSeed, jobs, &seed_cache),
+        run_ladder("cold", jobs, &cache),
+        run_ladder("warm", jobs, &cache),
     ];
-    let [bounded_cold, bounded_warm, seed_cold, seed_warm] = &rows;
-
-    println!("engine   stage  wall[ms]  solves   nodes  warm-hit  warm-miss  presolve");
+    println!("stage  wall[ms]  solves   nodes  presolve");
     for row in &rows {
         println!(
-            "{:<8} {:<5} {:>9.1} {:>7} {:>7} {:>9} {:>10} {:>9}",
-            row.engine,
-            row.stage,
-            row.wall_ms,
-            row.ilp.solves,
-            row.ilp.nodes,
-            row.ilp.warmstart_hits,
-            row.ilp.warmstart_misses,
-            row.ilp.presolve_fixed
+            "{:<5} {:>9.1} {:>7} {:>7} {:>9}",
+            row.stage, row.wall_ms, row.ilp.solves, row.ilp.nodes, row.ilp.presolve_fixed
         );
     }
+    let [cold, warm] = &rows;
+    let (repro, fixture) = mismatches(cold, warm);
+    let verdict = |n: usize| if n == 0 { "byte-identical" } else { "DIFFER" };
     println!(
-        "\nwarm ilp speedup (seed {:.1} ms / bounded {:.1} ms): {:.2}x",
-        seed_warm.wall_ms,
-        bounded_warm.wall_ms,
-        seed_warm.wall_ms / bounded_warm.wall_ms
-    );
-
-    // Within one engine, warm state must not change anything: cold and
-    // warm ladders are required to be bit-identical, no tie excuse.
-    let bounded_repro = compare(bounded_cold, bounded_warm);
-    let seed_repro = compare(seed_cold, seed_warm);
-    // Across engines, knife-edge ties (alternate optima within the
-    // solver's 1e-9 tolerance) are certified and tolerated; anything
-    // beyond tolerance fails.
-    let cross = compare(bounded_cold, seed_cold);
-    let same = cross == Verdict::Identical
-        && bounded_repro == Verdict::Identical
-        && seed_repro == Verdict::Identical;
-    println!(
-        "cross-engine traces: {}",
-        match cross {
-            Verdict::Identical => "bit-identical",
-            Verdict::Tie => "identical up to knife-edge ties (alternate optima within 1e-9)",
-            Verdict::Diverged => "DIVERGED",
-        }
+        "cold vs warm: {}; vs pinned fixture: {}",
+        verdict(repro),
+        verdict(fixture)
     );
 
     if let Some(path) = out_path {
-        let cross_str = match cross {
-            Verdict::Identical => "identical",
-            Verdict::Tie => "tie",
-            Verdict::Diverged => "diverged",
-        };
-        let json = json_report(jobs, &rows.iter().collect::<Vec<_>>(), same, cross_str);
+        let json = json_report(jobs, &rows, repro == 0 && fixture == 0);
         match std::fs::write(&path, json) {
             Ok(()) => println!("wrote {path}"),
             Err(e) => {
@@ -303,25 +186,25 @@ fn main() {
         }
     }
 
-    if bounded_repro != Verdict::Identical || seed_repro != Verdict::Identical {
-        eprintln!("FAIL: an engine is not reproducible between its cold and warm ladders");
+    if repro > 0 {
+        eprintln!("FAIL: {repro} target(s) differ between the cold and warm ladders");
         std::process::exit(1);
     }
-    if cross == Verdict::Diverged {
-        eprintln!("FAIL: engines disagree beyond solver tolerance — a correctness bug");
-        std::process::exit(1);
-    }
-    if check_nodes && bounded_cold.ilp.nodes > seed_cold.ilp.nodes {
-        eprintln!(
-            "FAIL: bounded engine explored {} nodes, seed engine {} — node regression",
-            bounded_cold.ilp.nodes, seed_cold.ilp.nodes
-        );
+    if fixture > 0 {
+        eprintln!("FAIL: {fixture} target(s) differ from the pinned fixture");
         std::process::exit(1);
     }
     if check_nodes {
+        if cold.ilp.nodes > NODE_CEILING {
+            eprintln!(
+                "FAIL: the cold ladder explored {} nodes, ceiling {NODE_CEILING} — node regression",
+                cold.ilp.nodes
+            );
+            std::process::exit(1);
+        }
         println!(
-            "node check passed: bounded {} <= seed {}",
-            bounded_cold.ilp.nodes, seed_cold.ilp.nodes
+            "node check passed: {} <= ceiling {NODE_CEILING}",
+            cold.ilp.nodes
         );
     }
 }

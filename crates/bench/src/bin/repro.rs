@@ -392,18 +392,6 @@ fn phases_json(targets: &[u64], jobs: usize, rows: &[experiments::PhaseBreakdown
         out.push_str(&format!("      \"ilp_solves\": {},\n", row.ilp.solves));
         out.push_str(&format!("      \"ilp_nodes\": {},\n", row.ilp.nodes));
         out.push_str(&format!(
-            "      \"warmstart_hits\": {},\n",
-            row.ilp.warmstart_hits
-        ));
-        out.push_str(&format!(
-            "      \"warmstart_misses\": {},\n",
-            row.ilp.warmstart_misses
-        ));
-        out.push_str(&format!(
-            "      \"warmstart_rate\": {:.4},\n",
-            row.ilp.warmstart_rate()
-        ));
-        out.push_str(&format!(
             "      \"presolve_fixed\": {}\n",
             row.ilp.presolve_fixed
         ));
@@ -432,13 +420,8 @@ fn run_phases(jobs: usize) {
             );
         }
         println!(
-            "  ilp solver: {} solves, {} nodes, warm-start {}/{} ({:.0}%), {} presolve-fixed",
-            row.ilp.solves,
-            row.ilp.nodes,
-            row.ilp.warmstart_hits,
-            row.ilp.warmstart_hits + row.ilp.warmstart_misses,
-            100.0 * row.ilp.warmstart_rate(),
-            row.ilp.presolve_fixed
+            "  ilp solver: {} solves, {} nodes, {} presolve-fixed",
+            row.ilp.solves, row.ilp.nodes, row.ilp.presolve_fixed
         );
     }
     let json = phases_json(&targets, jobs, &rows);
@@ -1046,27 +1029,60 @@ fn run_pipeline() {
     println!("last-frame PSNR             : {psnr:.1} dB");
 }
 
+const USAGE: &str = "\
+repro — regenerate the paper's tables and figures (experiments E1-E19)
+
+USAGE:
+    repro [--experiment <name>] [--jobs <n>]
+
+OPTIONS:
+    --experiment <name>  run one experiment (default: all of them, minutes)
+    --jobs <n>           worker threads for the parallel experiments
+                         (0 = all hardware threads; default 0)
+    --help               print this help
+
+EXPERIMENTS:
+    fig2 fig2b fig3 fig4 orders table1 m1 fig6-timing fig6-area
+    scalability scale phases incremental verify cluster tracecluster
+    pipeline ablation sweep all
+";
+
+/// Prints `message` and the usage to stderr and exits 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("repro: {message}\n\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let experiment = args
-        .iter()
-        .position(|a| a == "--experiment")
-        .and_then(|i| args.get(i + 1))
-        .map_or("all", String::as_str);
-    let jobs = parx::parse_jobs(
-        "--jobs",
-        args.iter()
-            .position(|a| a == "--jobs")
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str),
-        0,
-    )
-    .unwrap_or_else(|e| {
+    let mut experiment = String::from("all");
+    let mut jobs_arg = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--help" => {
+                print!("{USAGE}");
+                return;
+            }
+            "--experiment" => {
+                experiment = args
+                    .next()
+                    .unwrap_or_else(|| usage_error("--experiment needs a name"));
+            }
+            "--jobs" => {
+                jobs_arg = Some(
+                    args.next()
+                        .unwrap_or_else(|| usage_error("--jobs needs a value")),
+                );
+            }
+            other => usage_error(&format!("unknown argument `{other}`")),
+        }
+    }
+    let jobs = parx::parse_jobs("--jobs", jobs_arg.as_deref(), 0).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
     });
 
-    match experiment {
+    match experiment.as_str() {
         "fig2" => run_fig2(),
         "fig2b" => run_fig2b(),
         "fig3" => run_fig3(),
@@ -1123,12 +1139,6 @@ fn main() {
             run_cluster();
             run_tracecluster();
         }
-        other => {
-            eprintln!("unknown experiment `{other}`");
-            eprintln!(
-                "known: fig2 fig2b fig3 fig4 orders table1 m1 fig6-timing fig6-area scalability scale phases incremental verify cluster tracecluster pipeline ablation sweep all"
-            );
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown experiment `{other}`")),
     }
 }

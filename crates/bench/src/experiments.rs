@@ -644,8 +644,7 @@ pub struct PhaseBreakdownRow {
     /// runs inside an `analysis` span), so the totals exceed wall time.
     pub phases: Vec<(&'static str, u64, f64)>,
     /// ILP solver counter increments attributable to this stage
-    /// (solves, branch & bound nodes, warm-start hits/misses,
-    /// presolve-fixed variables).
+    /// (solves, branch & bound nodes, presolve-fixed items).
     pub ilp: ilp::IlpStats,
 }
 

@@ -42,7 +42,7 @@ Every analysis command also accepts:
     --trace-out-folded <file> write collapsed stacks (`a;b;c weight_ns`
                               lines) for flamegraph tooling
     --trace-summary           print per-phase time, cache hit rate, ILP
-                              solver counters (nodes, warm-start hits),
+                              solver counters (solves, nodes, presolve),
                               and the slowest SCCs after the output
 
 Tracing stays off (a single atomic check per engine phase) unless one of
@@ -329,13 +329,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let ilp = ilp::stats();
         if ilp.solves > 0 {
             println!(
-                "ilp solver: {} solves, {} nodes, warm-start {}/{} ({:.0}%), {} presolve-fixed",
-                ilp.solves,
-                ilp.nodes,
-                ilp.warmstart_hits,
-                ilp.warmstart_hits + ilp.warmstart_misses,
-                100.0 * ilp.warmstart_rate(),
-                ilp.presolve_fixed
+                "ilp solver: {} solves, {} nodes, {} presolve-fixed",
+                ilp.solves, ilp.nodes, ilp.presolve_fixed
             );
         }
         let howard = tmg::howard_stats();

@@ -12,7 +12,7 @@ use crate::analysis::{analyze_design, analyze_design_hinted, target_ratio, PerfR
 use crate::cache::EngineCache;
 use crate::design::Design;
 use crate::error::ErmesError;
-use crate::opt::{area_recovery_with, timing_optimization_with, OptContext, OptStrategy};
+use crate::opt::{area_recovery, timing_optimization, OptStrategy};
 use sysgraph::ProcessId;
 use tmg::{PolicyHint, Ratio};
 
@@ -177,6 +177,26 @@ impl ExplorationTrace {
     pub fn area_change(&self) -> f64 {
         let initial = self.iterations[0].area;
         (self.best().area - initial) / initial
+    }
+
+    /// A bit-exact text rendering for pinning traces in fixtures: the
+    /// best index, cycle time and area bits (recorded and of the final
+    /// design), then every record's `Debug` form, one per line. `f64`s
+    /// print in shortest round-trip form, so equal text means equal bits.
+    #[must_use]
+    pub fn digest(&self) -> String {
+        let best = self.best();
+        let mut out = format!(
+            "best {} ct {:?} area {:016x} design_area {:016x}\n",
+            self.best_index,
+            best.cycle_time,
+            best.area.to_bits(),
+            self.design.area().to_bits()
+        );
+        for rec in &self.iterations {
+            out.push_str(&format!("{rec:?}\n"));
+        }
+        out
     }
 }
 
@@ -359,12 +379,6 @@ pub fn explore_with(
     };
     let mut incumbent = iterations[0].clone();
     let mut stalled = 0usize;
-    // One solver context for the whole run: consecutive selection ILPs
-    // differ only by a few no-good cuts, so the optimal basis of each
-    // iteration warm-starts the next (Solver falls back to a cold solve
-    // whenever the problem changed shape).
-    let mut opt_ctx = OptContext::new(config.strategy);
-
     for index in 1..=config.max_iterations {
         let _iteration_span = trace::span("iteration");
         trace::attr("iter", index);
@@ -378,22 +392,20 @@ pub fn explore_with(
         let action = choose_action(cycle_time, config.target_cycle_time);
         trace::attr("action", format!("{action:?}"));
         let proposal = match action {
-            StepAction::AreaRecovery => area_recovery_with(
+            StepAction::AreaRecovery => area_recovery(
                 &design,
                 &report.critical_processes,
                 floor_slack(cycle_time, config.target_cycle_time),
                 &visited,
                 Some(config.target_cycle_time),
                 config.strategy,
-                &mut opt_ctx,
             )?,
-            StepAction::TimingOptimization => timing_optimization_with(
+            StepAction::TimingOptimization => timing_optimization(
                 &design,
                 &report.critical_processes,
                 ceil_deficit(cycle_time, config.target_cycle_time),
                 &visited,
                 config.strategy,
-                &mut opt_ctx,
             )?,
             StepAction::Initial | StepAction::Converged => {
                 unreachable!("choose_action returns an optimization step")

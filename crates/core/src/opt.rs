@@ -11,14 +11,15 @@
 //!
 //! Both formulations carry *no-good cuts* that "discard the
 //! configurations already optimized" (the paper's termination device),
-//! and both exist in two interchangeable strategies: the exact ILP
-//! (simplex + branch & bound, as the paper's GLPK) and a greedy heuristic
-//! for the 10,000-process scalability benchmarks where a dense-tableau
-//! exact solve would dominate runtime.
+//! and both exist in two strategies: the exact solve (the paper's GLPK
+//! ILP, here the multiple-choice knapsack engine of [`ilp::Mckp`], which
+//! these functions feed one class per process directly) and a greedy
+//! frontier walk for the 10,000-process scalability benchmarks.
 
 use crate::design::Design;
 use crate::error::ErmesError;
-use ilp::{Problem, Sense, VarId};
+use hlsim::MicroArch;
+use ilp::{McItem, Mckp, Row};
 use sysgraph::ProcessId;
 
 /// A proposed re-selection of implementations.
@@ -33,8 +34,7 @@ pub struct IpSelection {
 /// Solver strategy for the selection problems.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OptStrategy {
-    /// Exact 0/1 ILP (bounded-variable simplex + branch & bound, with
-    /// warm-started bases when an [`OptContext`] is carried across calls).
+    /// Exact multiple-choice knapsack ([`ilp::Mckp::solve`]).
     Exact,
     /// Greedy frontier walk (used for very large designs).
     Greedy,
@@ -42,11 +42,6 @@ pub enum OptStrategy {
     /// [`OptStrategy::Greedy`].
     #[default]
     Auto,
-    /// [`OptStrategy::Exact`] pinned to the frozen seed engine (two-phase
-    /// simplex, DFS branch & bound, no warm starts). Selected solutions
-    /// are bit-identical to [`OptStrategy::Exact`]; this variant exists
-    /// for differential tests and the `ilpbench` A/B benchmark.
-    ExactSeed,
 }
 
 const AUTO_EXACT_LIMIT: usize = 400;
@@ -64,45 +59,6 @@ fn resolve(strategy: OptStrategy, variables: usize) -> OptStrategy {
     }
 }
 
-/// Reusable solver state carried across the selection problems of one
-/// exploration run.
-///
-/// Consecutive ILPs of the loop differ only by a handful of no-good
-/// cuts and the shifting current selection, so each problem class keeps
-/// its own [`ilp::Solver`] whose saved root basis warm-starts the next
-/// solve (the solver falls back to a cold start whenever the dimensions
-/// changed too much for the basis to reinstate). Construct one per
-/// exploration and pass it to the `*_with` entry points; the one-shot
-/// [`area_recovery`] / [`timing_optimization`] wrappers build a fresh
-/// (cold) context per call.
-#[derive(Debug, Default)]
-pub struct OptContext {
-    area: ilp::Solver,
-    timing_dual: ilp::Solver,
-    timing_max: ilp::Solver,
-}
-
-impl OptContext {
-    /// A fresh context whose solvers match `strategy`
-    /// ([`OptStrategy::ExactSeed`] pins the frozen seed engine; every
-    /// other strategy uses the bounded-variable engine).
-    #[must_use]
-    pub fn new(strategy: OptStrategy) -> Self {
-        let make = || {
-            if strategy == OptStrategy::ExactSeed {
-                ilp::Solver::seed_reference()
-            } else {
-                ilp::Solver::new()
-            }
-        };
-        OptContext {
-            area: make(),
-            timing_dual: make(),
-            timing_max: make(),
-        }
-    }
-}
-
 /// Area recovery: maximize total area gain while the critical-cycle
 /// latency increase stays within `slack`. Returns `None` when no
 /// configuration with a positive area gain exists (outside `forbidden`).
@@ -115,7 +71,7 @@ impl OptContext {
 ///
 /// # Errors
 ///
-/// Propagates ILP failures as [`ErmesError::Ilp`].
+/// Propagates solver failures as [`ErmesError::Ilp`].
 pub fn area_recovery(
     design: &Design,
     critical: &[ProcessId],
@@ -123,33 +79,6 @@ pub fn area_recovery(
     forbidden: &[Vec<usize>],
     target_cycle_time: Option<u64>,
     strategy: OptStrategy,
-) -> Result<Option<IpSelection>, ErmesError> {
-    let mut ctx = OptContext::new(strategy);
-    area_recovery_with(
-        design,
-        critical,
-        slack,
-        forbidden,
-        target_cycle_time,
-        strategy,
-        &mut ctx,
-    )
-}
-
-/// [`area_recovery`] with a caller-owned [`OptContext`], so the optimal
-/// basis of this solve warm-starts the next one.
-///
-/// # Errors
-///
-/// Propagates ILP failures as [`ErmesError::Ilp`].
-pub fn area_recovery_with(
-    design: &Design,
-    critical: &[ProcessId],
-    slack: i64,
-    forbidden: &[Vec<usize>],
-    target_cycle_time: Option<u64>,
-    strategy: OptStrategy,
-    ctx: &mut OptContext,
 ) -> Result<Option<IpSelection>, ErmesError> {
     let variables: usize = design
         .system()
@@ -161,7 +90,7 @@ pub fn area_recovery_with(
         OptStrategy::Greedy => Ok(area_recovery_greedy(
             design, critical, slack, forbidden, &caps,
         )),
-        _ => area_recovery_exact(design, critical, slack, forbidden, &caps, &mut ctx.area),
+        _ => area_recovery_exact(design, critical, slack, forbidden, &caps),
     }
 }
 
@@ -191,58 +120,134 @@ fn is_critical(design: &Design, critical: &[ProcessId]) -> Vec<bool> {
     v
 }
 
+/// An [`Mckp`] over some of the design's processes, with the Pareto
+/// index behind every item so solutions map back to selections.
+struct SelectionProblem<'a> {
+    design: &'a Design,
+    /// Per process: the Pareto index of each item of its class, or empty
+    /// when the process has no class (its selection stays).
+    points: Vec<Vec<usize>>,
+    problem: Mckp,
+}
+
+impl<'a> SelectionProblem<'a> {
+    fn new(design: &'a Design, row: Row) -> Self {
+        SelectionProblem {
+            design,
+            points: Vec::with_capacity(design.system().process_count()),
+            problem: Mckp {
+                classes: Vec::new(),
+                row,
+                forbidden: Vec::new(),
+            },
+        }
+    }
+
+    /// Adds `p`'s class (processes come in index order): one item per
+    /// Pareto index in `points`, in order.
+    fn push(&mut self, p: ProcessId, points: Vec<usize>, item: impl Fn(&MicroArch) -> McItem) {
+        debug_assert_eq!(p.index(), self.points.len());
+        let set = self.design.pareto(p);
+        self.problem
+            .classes
+            .push(points.iter().map(|&i| item(&set.points()[i])).collect());
+        self.points.push(points);
+    }
+
+    /// Skips a process that keeps its current selection.
+    fn skip(&mut self) {
+        self.points.push(Vec::new());
+    }
+
+    /// Forbids each full selection in `forbidden` that agrees with the
+    /// current one on every process without a class; one naming an
+    /// excluded implementation can never be produced and is dropped.
+    fn forbid(&mut self, forbidden: &[Vec<usize>]) {
+        if self.problem.classes.is_empty() {
+            return;
+        }
+        let current = self.design.selection();
+        for f in forbidden {
+            let mut items = Vec::with_capacity(self.problem.classes.len());
+            let expressible = f.iter().enumerate().all(|(p, &s)| {
+                if self.points[p].is_empty() {
+                    return s == current[p];
+                }
+                match self.points[p].iter().position(|&i| i == s) {
+                    Some(j) => {
+                        items.push(j);
+                        true
+                    }
+                    None => false,
+                }
+            });
+            if expressible {
+                self.problem.forbidden.push(items);
+            }
+        }
+    }
+
+    fn solve(self) -> Result<Option<IpSelection>, ErmesError> {
+        let solution = match self.problem.solve() {
+            Ok(s) => s,
+            Err(ilp::SolveError::Infeasible) => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        let mut choices = solution.choices.into_iter();
+        let selection = self
+            .points
+            .iter()
+            .zip(self.design.selection())
+            .map(|(points, &current)| {
+                if points.is_empty() {
+                    current
+                } else {
+                    points[choices.next().expect("one choice per class")]
+                }
+            })
+            .collect();
+        Ok(Some(IpSelection {
+            selection,
+            objective: solution.value,
+        }))
+    }
+}
+
 fn area_recovery_exact(
     design: &Design,
     critical: &[ProcessId],
     slack: i64,
     forbidden: &[Vec<usize>],
     caps: &[u64],
-    solver: &mut ilp::Solver,
 ) -> Result<Option<IpSelection>, ErmesError> {
-    let sys = design.system();
     let crit = is_critical(design, critical);
-    let mut problem = Problem::new();
-    let mut vars: Vec<Vec<Option<VarId>>> = Vec::with_capacity(sys.process_count());
-    let mut latency_terms: Vec<(VarId, f64)> = Vec::new();
-    for p in sys.process_ids() {
-        let set = design.pareto(p);
-        let current_latency = design.latency(p) as f64;
-        let current_area = design.process_area(p);
-        let mut row: Vec<Option<VarId>> = Vec::with_capacity(set.len());
-        let mut ones: Vec<(VarId, f64)> = Vec::new();
-        for (i, m) in set.points().iter().enumerate() {
-            // Implementations that provably bust the target are excluded,
-            // except the current one (to keep the problem feasible).
-            if m.latency > caps[p.index()] && i != design.selected(p) {
-                row.push(None);
-                continue;
-            }
-            let v = problem.add_binary(format!("x_{}_{}", p.index(), i));
-            problem.set_objective_coeff(v, current_area - m.area);
-            if crit[p.index()] {
-                // Latency *increase* consumes slack.
-                latency_terms.push((v, m.latency as f64 - current_latency));
-            }
-            ones.push((v, 1.0));
-            row.push(Some(v));
-        }
-        problem.add_constraint(format!("one_{}", p.index()), ones, Sense::Eq, 1.0);
-        vars.push(row);
-    }
-    if !latency_terms.is_empty() {
-        problem.add_constraint("slack", latency_terms, Sense::Le, slack as f64);
-    }
-    add_no_good_cuts(&mut problem, &vars, forbidden);
-
-    let solution = match solver.solve(&problem) {
-        Ok(s) => s,
-        Err(ilp::SolveError::Infeasible) => return Ok(None),
-        Err(e) => return Err(e.into()),
+    let row = if crit.contains(&true) {
+        Row::AtMost(slack)
+    } else {
+        Row::None
     };
-    if solution.objective <= 1e-9 {
-        return Ok(None);
+    let mut problem = SelectionProblem::new(design, row);
+    for p in design.system().process_ids() {
+        let current_latency = design.latency(p);
+        let current_area = design.process_area(p);
+        // Implementations that provably bust the target are excluded,
+        // except the current one (to keep the problem feasible).
+        let points = design.pareto(p).points();
+        let kept = (0..points.len())
+            .filter(|&i| points[i].latency <= caps[p.index()] || i == design.selected(p))
+            .collect();
+        problem.push(p, kept, |m| McItem {
+            value: current_area - m.area,
+            // Latency *increase* consumes slack.
+            weight: if crit[p.index()] {
+                m.latency as i64 - current_latency as i64
+            } else {
+                0
+            },
+        });
     }
-    Ok(Some(extract_selection(design, &vars, &solution)))
+    problem.forbid(forbidden);
+    Ok(problem.solve()?.filter(|s| s.objective > 1e-9))
 }
 
 fn area_recovery_greedy(
@@ -335,30 +340,12 @@ pub fn timing_optimization(
     forbidden: &[Vec<usize>],
     strategy: OptStrategy,
 ) -> Result<Option<IpSelection>, ErmesError> {
-    let mut ctx = OptContext::new(strategy);
-    timing_optimization_with(design, critical, deficit, forbidden, strategy, &mut ctx)
-}
-
-/// [`timing_optimization`] with a caller-owned [`OptContext`], so the
-/// optimal basis of this solve warm-starts the next one.
-///
-/// # Errors
-///
-/// Propagates ILP failures as [`ErmesError::Ilp`].
-pub fn timing_optimization_with(
-    design: &Design,
-    critical: &[ProcessId],
-    deficit: i64,
-    forbidden: &[Vec<usize>],
-    strategy: OptStrategy,
-    ctx: &mut OptContext,
-) -> Result<Option<IpSelection>, ErmesError> {
     let variables: usize = critical.iter().map(|&p| design.pareto(p).len()).sum();
     match resolve(strategy, variables) {
         OptStrategy::Greedy => Ok(timing_optimization_greedy(
             design, critical, deficit, forbidden,
         )),
-        _ => timing_optimization_exact(design, critical, deficit, forbidden, ctx),
+        _ => timing_optimization_exact(design, critical, deficit, forbidden),
     }
 }
 
@@ -367,156 +354,50 @@ fn timing_optimization_exact(
     critical: &[ProcessId],
     deficit: i64,
     forbidden: &[Vec<usize>],
-    ctx: &mut OptContext,
 ) -> Result<Option<IpSelection>, ErmesError> {
-    // Primary: minimize area increase subject to gain >= deficit.
+    let crit = is_critical(design, critical);
+    // Primary: minimize the area increase (maximize the area gain)
+    // subject to a latency gain of at least the deficit.
     if deficit > 0 {
-        if let Some(sel) =
-            timing_dual_exact(design, critical, deficit, forbidden, &mut ctx.timing_dual)?
-        {
-            return Ok(Some(sel));
+        let dual = timing_problem(design, &crit, Row::AtLeast(deficit), forbidden, |m, p| {
+            McItem {
+                value: design.process_area(p) - m.area,
+                weight: design.latency(p) as i64 - m.latency as i64,
+            }
+        });
+        if let Some(sel) = dual.solve()? {
+            if sel.selection != design.selection() {
+                return Ok(Some(sel));
+            }
         }
     }
     // Fallback: the deficit is unreachable — buy all the speed there is.
-    timing_max_gain_exact(design, critical, forbidden, &mut ctx.timing_max)
+    let max_gain = timing_problem(design, &crit, Row::None, forbidden, |m, p| McItem {
+        value: design.latency(p) as f64 - m.latency as f64,
+        weight: 0,
+    });
+    Ok(max_gain.solve()?.filter(|s| s.objective > 1e-9))
 }
 
-/// Builds the shared variable structure of the timing problems: one
-/// binary per (critical process, implementation), with exactly-one rows.
-fn timing_vars(design: &Design, crit: &[bool], problem: &mut Problem) -> Vec<Vec<Option<VarId>>> {
-    let sys = design.system();
-    let mut vars: Vec<Vec<Option<VarId>>> = Vec::with_capacity(sys.process_count());
-    for p in sys.process_ids() {
-        if !crit[p.index()] {
-            vars.push(Vec::new());
-            continue;
-        }
-        let set = design.pareto(p);
-        let mut row = Vec::with_capacity(set.len());
-        for (i, _) in set.points().iter().enumerate() {
-            let v = problem.add_binary(format!("x_{}_{}", p.index(), i));
-            row.push(Some(v));
-        }
-        problem.add_constraint(
-            format!("one_{}", p.index()),
-            row.iter()
-                .map(|&v| (v.expect("all modeled"), 1.0))
-                .collect(),
-            Sense::Eq,
-            1.0,
-        );
-        vars.push(row);
-    }
-    vars
-}
-
-/// Dual form: minimize area increase subject to covering the deficit.
-fn timing_dual_exact(
-    design: &Design,
-    critical: &[ProcessId],
-    deficit: i64,
-    forbidden: &[Vec<usize>],
-    solver: &mut ilp::Solver,
-) -> Result<Option<IpSelection>, ErmesError> {
-    let sys = design.system();
-    let crit = is_critical(design, critical);
-    let mut problem = Problem::new();
-    let vars = timing_vars(design, &crit, &mut problem);
-    let mut gain_terms: Vec<(VarId, f64)> = Vec::new();
-    for p in sys.process_ids() {
-        if vars[p.index()].is_empty() {
-            continue;
-        }
-        let set = design.pareto(p);
-        let current_latency = design.latency(p) as f64;
-        let current_area = design.process_area(p);
-        for (i, m) in set.points().iter().enumerate() {
-            let v = vars[p.index()][i].expect("all modeled");
-            // Maximize area gain == minimize area increase.
-            problem.set_objective_coeff(v, current_area - m.area);
-            gain_terms.push((v, current_latency - m.latency as f64));
-        }
-    }
-    problem.add_constraint("deficit", gain_terms, Sense::Ge, deficit as f64);
-    add_timing_cuts(&mut problem, design, &crit, &vars, forbidden);
-    match solver.solve(&problem) {
-        Ok(s) => {
-            let sel = extract_selection(design, &vars, &s);
-            if sel.selection == design.selection() {
-                Ok(None)
-            } else {
-                Ok(Some(sel))
-            }
-        }
-        Err(ilp::SolveError::Infeasible) => Ok(None),
-        Err(e) => Err(e.into()),
-    }
-}
-
-/// Fallback form: maximize the cumulative latency gain.
-fn timing_max_gain_exact(
-    design: &Design,
-    critical: &[ProcessId],
-    forbidden: &[Vec<usize>],
-    solver: &mut ilp::Solver,
-) -> Result<Option<IpSelection>, ErmesError> {
-    let sys = design.system();
-    let crit = is_critical(design, critical);
-    let mut problem = Problem::new();
-    let vars = timing_vars(design, &crit, &mut problem);
-    for p in sys.process_ids() {
-        if vars[p.index()].is_empty() {
-            continue;
-        }
-        let set = design.pareto(p);
-        let current_latency = design.latency(p) as f64;
-        for (i, m) in set.points().iter().enumerate() {
-            let v = vars[p.index()][i].expect("all modeled");
-            problem.set_objective_coeff(v, current_latency - m.latency as f64);
-        }
-    }
-    add_timing_cuts(&mut problem, design, &crit, &vars, forbidden);
-    let solution = match solver.solve(&problem) {
-        Ok(s) => s,
-        Err(ilp::SolveError::Infeasible) => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    if solution.objective <= 1e-9 {
-        return Ok(None);
-    }
-    Ok(Some(extract_selection(design, &vars, &solution)))
-}
-
-/// No-good cuts over the critical-process variables: exclude forbidden
-/// configurations that agree with the current one outside the free
-/// (critical) processes.
-fn add_timing_cuts(
-    problem: &mut Problem,
-    design: &Design,
+/// A timing problem: one class per critical process over all of its
+/// implementations; the other processes keep their selection.
+fn timing_problem<'a>(
+    design: &'a Design,
     crit: &[bool],
-    vars: &[Vec<Option<VarId>>],
+    row: Row,
     forbidden: &[Vec<usize>],
-) {
-    let relevant: Vec<&Vec<usize>> = forbidden
-        .iter()
-        .filter(|f| {
-            f.iter()
-                .enumerate()
-                .all(|(i, &s)| crit[i] || s == design.selection()[i])
-        })
-        .collect();
-    for f in relevant {
-        let terms: Vec<(VarId, f64)> = f
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| crit[*i])
-            .map(|(i, &s)| (vars[i][s].expect("all modeled"), 1.0))
-            .collect();
-        if !terms.is_empty() {
-            let bound = terms.len() as f64 - 1.0;
-            problem.add_constraint("no_good", terms, Sense::Le, bound);
+    item: impl Fn(&MicroArch, ProcessId) -> McItem,
+) -> SelectionProblem<'a> {
+    let mut problem = SelectionProblem::new(design, row);
+    for p in design.system().process_ids() {
+        if crit[p.index()] {
+            problem.push(p, (0..design.pareto(p).len()).collect(), |m| item(m, p));
+        } else {
+            problem.skip();
         }
     }
+    problem.forbid(forbidden);
+    problem
 }
 
 fn timing_optimization_greedy(
@@ -576,55 +457,6 @@ fn timing_optimization_greedy(
         selection,
         objective: gain,
     })
-}
-
-fn add_no_good_cuts(problem: &mut Problem, vars: &[Vec<Option<VarId>>], forbidden: &[Vec<usize>]) {
-    for f in forbidden {
-        // A forbidden configuration that selects an excluded (un-modeled)
-        // implementation cannot be produced by this problem: skip it.
-        let mut terms: Vec<(VarId, f64)> = Vec::new();
-        let mut expressible = true;
-        for (i, &s) in f.iter().enumerate() {
-            if vars[i].is_empty() {
-                continue;
-            }
-            match vars[i].get(s).copied().flatten() {
-                Some(v) => terms.push((v, 1.0)),
-                None => {
-                    expressible = false;
-                    break;
-                }
-            }
-        }
-        if expressible && !terms.is_empty() {
-            let bound = terms.len() as f64 - 1.0;
-            problem.add_constraint("no_good", terms, Sense::Le, bound);
-        }
-    }
-}
-
-fn extract_selection(
-    design: &Design,
-    vars: &[Vec<Option<VarId>>],
-    solution: &ilp::Solution,
-) -> IpSelection {
-    let selection: Vec<usize> = vars
-        .iter()
-        .enumerate()
-        .map(|(p, row)| {
-            if row.is_empty() {
-                design.selection()[p]
-            } else {
-                row.iter()
-                    .position(|&v| v.is_some_and(|v| solution.is_one(v)))
-                    .expect("exactly one implementation is selected")
-            }
-        })
-        .collect();
-    IpSelection {
-        selection,
-        objective: solution.objective,
-    }
 }
 
 #[cfg(test)]
@@ -786,86 +618,41 @@ mod tests {
         assert_eq!(auto, exact);
     }
 
+    /// The exploration loop's usage pattern: each step forbids the
+    /// previous answers. The chain must never repeat a selection, never
+    /// improve on an earlier optimum, and end.
     #[test]
-    fn exact_seed_is_bit_identical_to_exact() {
+    fn cut_chain_never_repeats_and_never_improves() {
         let d = design();
         let crit = all_processes(&d);
-        for slack in [0i64, 4, 7, 100] {
-            let new = area_recovery(&d, &crit, slack, &[], None, OptStrategy::Exact).expect("ok");
-            let old =
-                area_recovery(&d, &crit, slack, &[], None, OptStrategy::ExactSeed).expect("ok");
-            match (new, old) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.selection, b.selection, "slack {slack}");
-                    assert_eq!(
-                        a.objective.to_bits(),
-                        b.objective.to_bits(),
-                        "slack {slack}"
-                    );
-                }
-                (a, b) => panic!("engine divergence at slack {slack}: {a:?} vs {b:?}"),
-            }
-        }
-    }
-
-    /// The exploration loop's usage pattern: one context across a chain
-    /// of problems that grow by one no-good cut each step. Warm-started
-    /// results must be bit-identical to one-shot (cold) solves.
-    #[test]
-    fn warm_context_matches_cold_calls_across_cut_chain() {
-        let d = design();
-        let crit = all_processes(&d);
-        let mut ctx = OptContext::new(OptStrategy::Exact);
         let mut forbidden: Vec<Vec<usize>> = Vec::new();
-        loop {
-            let warm = area_recovery_with(
-                &d,
-                &crit,
-                100,
-                &forbidden,
-                None,
-                OptStrategy::Exact,
-                &mut ctx,
-            )
-            .expect("ok");
-            let cold =
-                area_recovery(&d, &crit, 100, &forbidden, None, OptStrategy::Exact).expect("ok");
-            match (warm, cold) {
-                (None, None) => break,
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.selection, b.selection);
-                    assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-                    forbidden.push(a.selection);
-                }
-                (a, b) => panic!("warm/cold divergence: {a:?} vs {b:?}"),
-            }
+        let mut last = f64::INFINITY;
+        while let Some(sel) =
+            area_recovery(&d, &crit, 100, &forbidden, None, OptStrategy::Exact).expect("ok")
+        {
+            assert!(!forbidden.contains(&sel.selection));
+            assert!(sel.objective <= last);
+            last = sel.objective;
+            forbidden.push(sel.selection);
         }
-        assert!(!forbidden.is_empty(), "chain exercised at least one cut");
+        // Every selection but the current one gains area.
+        assert_eq!(forbidden.len(), 5);
     }
 
     #[test]
-    fn warm_context_timing_matches_cold() {
+    fn timing_cut_chain_never_repeats() {
         let mut d = design();
         d.select_smallest();
         let crit = all_processes(&d);
-        let mut ctx = OptContext::new(OptStrategy::Exact);
         let mut forbidden: Vec<Vec<usize>> = Vec::new();
-        loop {
-            let warm =
-                timing_optimization_with(&d, &crit, 3, &forbidden, OptStrategy::Exact, &mut ctx)
-                    .expect("ok");
-            let cold =
-                timing_optimization(&d, &crit, 3, &forbidden, OptStrategy::Exact).expect("ok");
-            match (warm, cold) {
-                (None, None) => break,
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.selection, b.selection);
-                    assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-                    forbidden.push(a.selection);
-                }
-                (a, b) => panic!("warm/cold divergence: {a:?} vs {b:?}"),
-            }
+        while let Some(sel) =
+            timing_optimization(&d, &crit, 3, &forbidden, OptStrategy::Exact).expect("ok")
+        {
+            assert!(!forbidden.contains(&sel.selection));
+            assert_ne!(sel.selection, d.selection());
+            forbidden.push(sel.selection);
         }
+        // Every faster selection is proposed once: 3 x 2 - 1.
+        assert_eq!(forbidden.len(), 5);
     }
 }

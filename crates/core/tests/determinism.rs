@@ -84,31 +84,24 @@ fn exploration_with_cache_and_jobs_is_bit_identical() {
     assert!(stats.ordering_hits > 0, "repeat runs must hit: {stats:?}");
 }
 
-/// The warm-started bounded-variable ILP engine must select the same
-/// configurations — bit-identical objectives, traces, and final
-/// selections — as the frozen seed engine, across a ladder of targets
-/// and at several thread counts. This is the PR's central invariant:
-/// swapping solver engines never changes a chosen micro-architecture.
+/// The exact selection engine's traces are pinned: every digest in
+/// `fixtures/exact_motivating.txt` was produced by the general simplex +
+/// branch & bound engine the MCKP engine replaced, and must be reproduced
+/// bit for bit — at several thread counts, with and without the cache.
+/// Swapping solver engines never changed a chosen micro-architecture.
 #[test]
 fn exploration_engines_are_bit_identical() {
+    let fixture = include_str!("fixtures/exact_motivating.txt");
     for target in [20, 40, 60, 140] {
+        let key = format!("design motivating target {target}\n");
+        let pinned = fixture
+            .split("\n\n")
+            .find_map(|s| s.strip_prefix(&key))
+            .expect("every target is pinned");
         let mut config = ExplorationConfig::with_target(target);
         config.strategy = OptStrategy::Exact;
-        let new_engine = explore(motivating_design(), config).expect("explores");
-        let mut seed_config = config;
-        seed_config.strategy = OptStrategy::ExactSeed;
-        let seed = explore(motivating_design(), seed_config).expect("explores");
-        assert_eq!(
-            new_engine.iterations, seed.iterations,
-            "target = {target}: engine changed the trace"
-        );
-        assert_eq!(new_engine.best_index, seed.best_index, "target = {target}");
-        assert_eq!(
-            new_engine.design.selection(),
-            seed.design.selection(),
-            "target = {target}: engine changed the selected micro-architectures"
-        );
-        // And the warm path stays identical under parallel analysis.
+        let plain = explore(motivating_design(), config).expect("explores");
+        assert_eq!(plain.digest().trim_end(), pinned, "target = {target}");
         let cache = EngineCache::new();
         for jobs in [1, 4] {
             let opts = ExploreOptions {
@@ -118,10 +111,11 @@ fn exploration_engines_are_bit_identical() {
             };
             let run = explore_with(motivating_design(), config, &opts).expect("explores");
             assert_eq!(
-                run.iterations, seed.iterations,
+                run.digest(),
+                plain.digest(),
                 "target = {target}, jobs = {jobs}"
             );
-            assert_eq!(run.design.selection(), seed.design.selection());
+            assert_eq!(run.design.selection(), plain.design.selection());
         }
     }
 }

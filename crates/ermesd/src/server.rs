@@ -700,13 +700,8 @@ fn metrics_response(inner: &Inner) -> Response {
         ),
         (
             "ermes_ilp_nodes_total",
-            "Branch & bound nodes explored by the selection-ILP solver.",
+            "Branch & bound nodes explored by the selection (MCKP) solver.",
             ilp.nodes,
-        ),
-        (
-            "ermes_ilp_warmstart_hits_total",
-            "Node LPs satisfied by simplex basis reuse instead of a cold solve.",
-            ilp.warmstart_hits,
         ),
         (
             "ermes_howard_iterations_total",

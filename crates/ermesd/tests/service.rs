@@ -227,7 +227,6 @@ fn concurrent_clients_get_cli_identical_responses_and_metrics_add_up() {
         metric_value(&metrics, "ermes_ilp_nodes_total") > 0,
         "exploration must have explored branch & bound nodes:\n{metrics}"
     );
-    let _ = metric_value(&metrics, "ermes_ilp_warmstart_hits_total");
     // Every exploration re-analyzes after its first step with Howard
     // warm-started from the run's previous converged policy.
     assert!(metric_value(&metrics, "ermes_howard_iterations_total") > 0);
@@ -281,8 +280,7 @@ fn full_queue_and_expired_deadlines_shed_with_429() {
         ..ServerConfig::default()
     });
     // A deliberately heavy request to occupy the single worker — sized
-    // so the sweep outlasts the 50 ms deadline below by a wide margin
-    // even with the warm-started ILP engine.
+    // so the sweep outlasts the 50 ms deadline below by a wide margin.
     let soc = socgen::generate(socgen::SocGenConfig::sized(2_000, 3_000, 11));
     let design = ermes::Design::new(soc.system, soc.pareto).expect("well-formed");
     let heavy = SystemSpec::from_design(&design).to_json_pretty();

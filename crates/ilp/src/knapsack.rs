@@ -3,8 +3,9 @@
 //! The paper's area-recovery step "is a variant of the knapsack problem"
 //! with a multiple-choice structure: every process must adopt exactly one
 //! implementation. This module solves that structure exactly by DP over
-//! integer weights, independently of the simplex/branch-and-bound path —
-//! the two are cross-checked in the test suites.
+//! integer weights, independently of the branch & bound engine
+//! ([`crate::Mckp`]); it is kept as the engine's oracle in the
+//! differential tests.
 
 use std::fmt;
 

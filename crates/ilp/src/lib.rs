@@ -1,34 +1,25 @@
-//! From-scratch 0/1 integer linear programming.
+//! From-scratch exact selection for ERMES: one multiple-choice knapsack
+//! engine.
 //!
 //! The DAC'14 ERMES methodology formulates its IP-selection steps — *area
 //! recovery* and *timing optimization* over the processes of the critical
 //! cycle (Section 5) — as small integer programs, solved in the original
-//! work with GLPK. This crate replaces GLPK with cooperating exact
-//! solvers, each validated against the others:
+//! work with GLPK. Every one of them is a multiple-choice knapsack
+//! (MCKP): each process adopts exactly one Pareto-optimal implementation,
+//! under at most one latency row, with previously visited selections
+//! excluded by no-good cuts. This crate solves exactly that structure:
 //!
-//! - [`Problem::solve`] / [`Solver`]: 0/1 branch & bound over a
-//!   **bounded-variable simplex** (binary bounds handled natively, no
-//!   `x <= 1` rows), with a best-first deterministic node queue,
-//!   reduced-cost fixing, an MCKP-aware presolve, and basis warm-starts
-//!   both between branch & bound nodes and — via [`Solver`] — between
-//!   the successive, nearly identical ILPs of the exploration loop;
-//! - [`solve_relaxation`]: the `[0,1]` LP relaxation on the same
-//!   simplex;
-//! - [`seed`]: the original two-phase-simplex solver, frozen as a
-//!   reference for differential tests, A/B benchmarks (`ilpbench`), and
-//!   as the last-resort fallback on iteration-limited LPs;
+//! - [`Mckp::solve`]: branch & bound over the convex-hull LP relaxation
+//!   (a greedy pass over incremental slopes, no tableau), branching only
+//!   on the fractional class, with no-good cuts as lazy rejections and a
+//!   strict-dominance presolve. Among tied optima it returns the
+//!   lexicographically greatest selection, a rule stated on the problem
+//!   rather than on the search order;
 //! - [`solve_multiple_choice_knapsack`]: a pseudo-polynomial DP for the
-//!   multiple-choice knapsack structure that both ERMES problems share
-//!   (each process adopts exactly one Pareto-optimal implementation).
+//!   same structure without cuts, kept as an independent oracle for the
+//!   differential tests.
 //!
-//! The branch & bound returns solutions **objective-bit-identical** to
-//! the seed engine: equal selections produce equal objective bits, and
-//! when an instance has several optima tied within the shared 1e-9
-//! pruning tolerance, each engine deterministically returns the first
-//! one its search order reaches — provably equal in value, possibly a
-//! different vertex (see `crate::branch_bound` docs for the argument
-//! and `ilpbench` for the A/B certification). Process-wide counters
-//! (nodes explored, warm-start hits, presolve eliminations) are
+//! Process-wide counters (solves, nodes, presolve eliminations) are
 //! exported via [`stats`] for ermesd `/metrics` and the CLI trace
 //! summary.
 //!
@@ -37,48 +28,34 @@
 //! A one-implementation-per-process selection under a latency budget:
 //!
 //! ```
-//! use ilp::{Problem, Sense};
+//! use ilp::{McItem, Mckp, Row};
 //!
-//! let mut p = Problem::new();
-//! // Process A: fast-but-big or slow-but-small.
-//! let a_fast = p.add_binary("a_fast");
-//! let a_small = p.add_binary("a_small");
-//! // Maximize recovered area.
-//! p.set_objective_coeff(a_fast, 0.0);
-//! p.set_objective_coeff(a_small, 0.7);
-//! // Exactly one implementation.
-//! p.add_constraint("one_a", vec![(a_fast, 1.0), (a_small, 1.0)], Sense::Eq, 1.0);
-//! // The slow implementation costs 4 cycles of slack; 5 are available.
-//! p.add_constraint("slack", vec![(a_small, 4.0)], Sense::Le, 5.0);
+//! // Process A: keep the fast-but-big implementation (no gain, no
+//! // latency), or recover 0.7 area units for 4 cycles of slack.
+//! let a = vec![McItem { value: 0.0, weight: 0 }, McItem { value: 0.7, weight: 4 }];
+//! let p = Mckp { classes: vec![a], row: Row::AtMost(5), forbidden: vec![] };
 //! let s = p.solve()?;
-//! assert!(s.is_one(a_small));
+//! assert_eq!(s.choices, vec![1]);
 //! # Ok::<(), ilp::SolveError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod basis;
-mod branch_bound;
 mod knapsack;
-mod model;
+mod mckp;
 mod presolve;
-pub mod seed;
-mod simplex;
 mod stats;
 
-pub use branch_bound::Solver;
-
-/// Runs the MCKP presolve alone and returns the number of variables it
-/// pinned. Exists for the `flatgraph` criterion suite, which needs to
-/// time the dominance pass at scales where the dense seed tableau of a
-/// full `solve()` would dwarf it; not part of the supported API.
+/// Runs the dominance presolve alone and returns the number of items it
+/// decided. Exists for the `flatgraph` criterion suite, which times the
+/// pass at soc:1k and soc:10k scale; not part of the supported API.
 #[doc(hidden)]
-pub fn presolve_eliminated(problem: &Problem) -> usize {
-    presolve::presolve(problem).eliminated
+#[must_use]
+pub fn presolve_eliminated(problem: &Mckp) -> usize {
+    presolve::presolve(&problem.normalized().0, &problem.forbidden).eliminated
 }
 
 pub use knapsack::{solve_multiple_choice_knapsack, KnapsackError, McItem, McSelection};
-pub use model::{Constraint, Problem, Sense, Solution, SolveError, VarId};
-pub use simplex::{solve_relaxation, LpSolution};
+pub use mckp::{Mckp, Row, SolveError};
 pub use stats::{stats, IlpStats};

@@ -1,429 +1,116 @@
-//! MCKP-aware presolve: fixes variables before branch & bound starts.
+//! Dominance presolve: removes items no optimum can use before the
+//! search starts.
 //!
-//! Both ERMES selection problems are multiple-choice knapsacks: each
-//! process adopts exactly one implementation, encoded as an equality row
-//! `Σ_g x_j = 1` with all-one coefficients over the process's group.
-//! The presolve recognizes those rows structurally and applies two
-//! bit-identity-safe reductions:
+//! Within a class, item `k` is **strictly dominated** by item `i` when
+//! `i` has a strictly larger value (`v_i > v_k`), a weight that is never
+//! worse for the (normalized `≤`) latency row (`w_i <= w_k`), and `i` is
+//! a member of no forbidden selection. Swapping `k → i` in any selection
+//! then keeps it feasible, cannot make it forbidden (no forbidden
+//! selection contains `i`), and strictly raises its value, so `k`
+//! appears in no optimum and is dropped. The membership condition is
+//! what makes no-good cuts safe: an item the cuts may exclude never
+//! shadows the alternatives the search would fall back to.
 //!
-//! 1. **Dominated-implementation pruning.** Within a group, if
-//!    implementation `i` has a *strictly* better objective than `k`
-//!    (`c_i > c_k`) and swapping `k → i` can never hurt feasibility
-//!    (coefficient-wise: `a_i <= a_k` in every `<=` row, `a_i >= a_k`
-//!    in every `>=` row, `a_i == a_k` in every foreign equality row),
-//!    then *every* solution selecting `k` is strictly beaten by the same
-//!    solution selecting `i`, so `k` appears in no optimal solution and
-//!    can be fixed to 0. Strictness is what makes this bit-identity
-//!    safe: the set of optimal solutions is untouched, so the search
-//!    returns the same argmax it would have without presolve. It also
-//!    makes no-good cuts safe automatically — a cut member has
-//!    coefficient 1 in the cut's `<=` row, so it can never dominate a
-//!    non-member (1 > 0 fails the `<=` test).
-//! 2. **Single-candidate propagation.** A group with every member fixed
-//!    to 0 is infeasible; a group with exactly one unfixed member must
-//!    select it.
-//!
-//! In the DSE loop's area-recovery step this collapses every
-//! *non-critical* process — whose implementations appear in no latency
-//! row — straight to its maximum-gain implementation, often eliminating
-//! the majority of the search space before the first LP solve.
+//! The maximal-value non-member of a class is never dominated, so no
+//! class is ever emptied. A class left with a single candidate is fixed
+//! to it. In the exploration loop's area-recovery step this collapses
+//! every non-critical process (all weights zero) straight to its
+//! maximum-gain implementation.
 
-use crate::model::{Problem, Sense};
+use crate::knapsack::McItem;
 
-/// Outcome of the presolve: an initial fixing overlay for branch &
-/// bound (the same mechanism branching uses, so no index remapping).
-#[derive(Debug, Clone)]
+/// Outcome of the presolve.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Presolve {
-    /// Initial fixings: `Some(v)` pins variable `j` to `v`.
-    pub(crate) fixed: Vec<Option<bool>>,
-    /// Number of variables pinned (either polarity).
+    /// Surviving item indices per class, ascending.
+    pub(crate) candidates: Vec<Vec<usize>>,
+    /// Items decided before search: every dominated item, plus the
+    /// survivor of each class left with exactly one.
     pub(crate) eliminated: usize,
-    /// True when a group lost all candidates: no 0/1 solution exists.
-    pub(crate) infeasible: bool,
 }
 
-/// Recognizes a multiple-choice group row: `Σ x_j = 1` with all-one
-/// coefficients over distinct variables.
-fn group_members(problem: &Problem, row: usize) -> Option<Vec<usize>> {
-    let c = &problem.constraints[row];
-    if c.sense != Sense::Eq || c.rhs != 1.0 || c.terms.is_empty() {
-        return None;
-    }
-    let mut members = Vec::with_capacity(c.terms.len());
-    for &(v, a) in &c.terms {
-        if a != 1.0 || members.contains(&v.0) {
-            return None;
-        }
-        members.push(v.0);
-    }
-    Some(members)
-}
-
-/// Column-major (SoA) view of the constraint matrix: for each variable,
-/// the rows it appears in (ascending) and its accumulated coefficient
-/// there, stored as three contiguous arrays (CSR over columns).
-///
-/// The dominance test compares two variables across every row; on the
-/// row-major [`Problem`] that is a full matrix scan per candidate pair,
-/// which dominates presolve time on MCKP instances with thousands of
-/// groups. Streaming two sorted columns instead touches only the rows
-/// that actually mention either variable.
-///
-/// Coefficients of a variable repeated within one row are accumulated in
-/// term order — the exact float additions the row-major scan performed —
-/// so every comparison sees bit-identical values.
-struct ColumnTable {
-    start: Vec<u32>,
-    rows: Vec<u32>,
-    coeffs: Vec<f64>,
-}
-
-impl ColumnTable {
-    fn build(problem: &Problem) -> Self {
-        let n = problem.variable_count();
-        let m = problem.constraints.len();
-        assert!(m < u32::MAX as usize, "row count fits u32");
-        // Pass 1: count distinct (variable, row) incidences. `last_row`
-        // deduplicates repeated terms within one row.
-        let mut last_row = vec![u32::MAX; n];
-        let mut start = vec![0u32; n + 1];
-        for (r, c) in problem.constraints.iter().enumerate() {
-            for &(v, _) in &c.terms {
-                if last_row[v.0] != r as u32 {
-                    last_row[v.0] = r as u32;
-                    start[v.0 + 1] += 1;
-                }
-            }
-        }
-        for j in 0..n {
-            start[j + 1] += start[j];
-        }
-        // Pass 2: fill, accumulating duplicate terms into the entry just
-        // written (same addition order as a left-to-right row scan).
-        let mut cursor: Vec<u32> = start[..n].to_vec();
-        let mut rows = vec![0u32; start[n] as usize];
-        let mut coeffs = vec![0.0f64; start[n] as usize];
-        let mut last_row = vec![u32::MAX; n];
-        for (r, c) in problem.constraints.iter().enumerate() {
-            for &(v, a) in &c.terms {
-                if last_row[v.0] == r as u32 {
-                    coeffs[cursor[v.0] as usize - 1] += a;
-                } else {
-                    last_row[v.0] = r as u32;
-                    rows[cursor[v.0] as usize] = r as u32;
-                    coeffs[cursor[v.0] as usize] += a;
-                    cursor[v.0] += 1;
-                }
-            }
-        }
-        ColumnTable {
-            start,
-            rows,
-            coeffs,
-        }
-    }
-
-    fn column(&self, j: usize) -> (&[u32], &[f64]) {
-        let lo = self.start[j] as usize;
-        let hi = self.start[j + 1] as usize;
-        (&self.rows[lo..hi], &self.coeffs[lo..hi])
-    }
-}
-
-/// True when selecting `i` instead of `k` can never hurt feasibility in
-/// any row other than the group row itself.
-///
-/// Two-pointer merge over the two sorted columns: a row absent from a
-/// column contributes coefficient `0.0`, exactly as the row-major scan's
-/// accumulator would have stayed at its initial value.
-fn swap_always_feasible(
-    problem: &Problem,
-    cols: &ColumnTable,
-    group_row: usize,
-    i: usize,
-    k: usize,
-) -> bool {
-    let (ri, ci) = cols.column(i);
-    let (rk, ck) = cols.column(k);
-    let (mut x, mut y) = (0usize, 0usize);
-    while x < ri.len() || y < rk.len() {
-        let next_i = ri.get(x).copied().unwrap_or(u32::MAX);
-        let next_k = rk.get(y).copied().unwrap_or(u32::MAX);
-        let r = next_i.min(next_k);
-        let ai = if next_i == r {
-            x += 1;
-            ci[x - 1]
-        } else {
-            0.0
-        };
-        let ak = if next_k == r {
-            y += 1;
-            ck[y - 1]
-        } else {
-            0.0
-        };
-        if r as usize == group_row {
-            continue;
-        }
-        let ok = match problem.constraints[r as usize].sense {
-            Sense::Le => ai <= ak,
-            Sense::Ge => ai >= ak,
-            Sense::Eq => ai == ak,
-        };
-        if !ok {
-            return false;
-        }
-    }
-    true
-}
-
-/// Runs the presolve. Never fixes a variable that could appear in an
-/// optimal solution, so branch & bound over the reduced problem returns
-/// exactly the solution it would have found without presolve.
-pub(crate) fn presolve(problem: &Problem) -> Presolve {
-    let n = problem.variable_count();
-    let mut fixed: Vec<Option<bool>> = vec![None; n];
-
-    // Collect disjoint multiple-choice groups in row order; a variable
-    // shared between two candidate group rows keeps only the first
-    // (overlapping groups would make the swap argument unsound).
-    let mut in_group = vec![false; n];
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for row in 0..problem.constraints.len() {
-        if let Some(members) = group_members(problem, row) {
-            if members.iter().any(|&j| in_group[j]) {
-                continue;
-            }
-            for &j in &members {
-                in_group[j] = true;
-            }
-            groups.push((row, members));
-        }
-    }
-
-    // Dominance pruning within each group, streaming over the column
-    // table instead of rescanning the row-major matrix per pair.
-    let cols = ColumnTable::build(problem);
-    for (row, members) in &groups {
-        for &k in members {
-            if fixed[k].is_some() {
-                continue;
-            }
-            let dominated = members.iter().any(|&i| {
-                i != k
-                    && fixed[i].is_none()
-                    && problem.objective[i] > problem.objective[k]
-                    && swap_always_feasible(problem, &cols, *row, i, k)
-            });
-            if dominated {
-                fixed[k] = Some(false);
+/// Runs the presolve over classes whose weights are already normalized
+/// to a `≤` row. Forbidden selections of the wrong length or naming a
+/// nonexistent item can never match and mark no members.
+pub(crate) fn presolve(classes: &[Vec<McItem>], forbidden: &[Vec<usize>]) -> Presolve {
+    let mut member: Vec<Vec<bool>> = classes.iter().map(|c| vec![false; c.len()]).collect();
+    for f in forbidden {
+        if f.len() == classes.len() && f.iter().zip(classes).all(|(&j, c)| j < c.len()) {
+            for (c, &j) in f.iter().enumerate() {
+                member[c][j] = true;
             }
         }
     }
-
-    // Single-candidate propagation.
-    let mut infeasible = false;
-    for (_, members) in &groups {
-        let unfixed: Vec<usize> = members
-            .iter()
-            .copied()
-            .filter(|&j| fixed[j] != Some(false))
-            .collect();
-        match unfixed.len() {
-            0 => {
-                infeasible = true;
-                break;
-            }
-            1 => fixed[unfixed[0]] = Some(true),
-            _ => {}
-        }
-    }
-
-    let eliminated = fixed.iter().filter(|f| f.is_some()).count();
+    let mut eliminated = 0;
+    let candidates = classes
+        .iter()
+        .zip(&member)
+        .map(|(items, member)| {
+            let survivors: Vec<usize> = (0..items.len())
+                .filter(|&k| {
+                    !items.iter().zip(member).any(|(i, &m)| {
+                        !m && i.value > items[k].value && i.weight <= items[k].weight
+                    })
+                })
+                .collect();
+            eliminated += items.len() - survivors.len() + usize::from(survivors.len() == 1);
+            survivors
+        })
+        .collect();
     Presolve {
-        fixed,
+        candidates,
         eliminated,
-        infeasible,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Problem, Sense, VarId};
 
-    /// Builds the canonical area-recovery shape: two groups, one slack
-    /// row. Group `b` is non-critical (absent from the slack row).
-    fn two_group_problem() -> Problem {
-        let mut p = Problem::new();
-        let a0 = p.add_binary("a0");
-        let a1 = p.add_binary("a1");
-        let b0 = p.add_binary("b0");
-        let b1 = p.add_binary("b1");
-        p.set_objective_coeff(a0, 0.5);
-        p.set_objective_coeff(a1, 0.9);
-        p.set_objective_coeff(b0, 0.1);
-        p.set_objective_coeff(b1, 0.7);
-        p.add_constraint("one_a", vec![(a0, 1.0), (a1, 1.0)], Sense::Eq, 1.0);
-        p.add_constraint("one_b", vec![(b0, 1.0), (b1, 1.0)], Sense::Eq, 1.0);
-        p.add_constraint("slack", vec![(a0, 1.0), (a1, 3.0)], Sense::Le, 5.0);
-        p
+    fn class(items: &[(f64, i64)]) -> Vec<McItem> {
+        items
+            .iter()
+            .map(|&(value, weight)| McItem { value, weight })
+            .collect()
+    }
+
+    /// The area-recovery shape: class `a` is critical (its items use
+    /// slack), class `b` is not (all weights zero).
+    fn two_classes() -> Vec<Vec<McItem>> {
+        vec![class(&[(0.5, 1), (0.9, 3)]), class(&[(0.1, 0), (0.7, 0)])]
     }
 
     #[test]
     fn noncritical_group_collapses_to_max_gain() {
-        let p = two_group_problem();
-        let pre = presolve(&p);
-        assert!(!pre.infeasible);
-        // b0 is dominated by b1 (0.7 > 0.1, no other rows mention them),
-        // and the group then has a single candidate.
-        assert_eq!(pre.fixed[2], Some(false));
-        assert_eq!(pre.fixed[3], Some(true));
-        // Critical group: a1 pays 3 slack units vs a0's 1, so neither
-        // dominates.
-        assert_eq!(pre.fixed[0], None);
-        assert_eq!(pre.fixed[1], None);
+        let pre = presolve(&two_classes(), &[]);
+        // b0 is dominated by b1 and b is then fixed; in a, the larger
+        // gain costs more slack, so neither item dominates.
+        assert_eq!(pre.candidates, vec![vec![0, 1], vec![1]]);
         assert_eq!(pre.eliminated, 2);
     }
 
     #[test]
     fn equal_objectives_are_never_pruned() {
-        let mut p = Problem::new();
-        let a0 = p.add_binary("a0");
-        let a1 = p.add_binary("a1");
-        p.set_objective_coeff(a0, 0.4);
-        p.set_objective_coeff(a1, 0.4);
-        p.add_constraint("one", vec![(a0, 1.0), (a1, 1.0)], Sense::Eq, 1.0);
-        let pre = presolve(&p);
-        // Tie: both could be optimal; pruning either would change the
-        // argmax the search returns.
-        assert_eq!(pre.fixed, vec![None, None]);
+        let pre = presolve(&[class(&[(0.4, 0), (0.4, 0)])], &[]);
+        assert_eq!(pre.candidates, vec![vec![0, 1]]);
+        assert_eq!(pre.eliminated, 0);
     }
 
     #[test]
     fn cut_members_cannot_dominate_outsiders() {
-        let mut p = two_group_problem();
-        // A no-good cut naming a1 (the would-be dominator of a0 if the
-        // slack row were absent) blocks the swap a0 -> a1.
-        p.add_constraint(
-            "cut",
-            vec![(VarId(1), 1.0), (VarId(3), 1.0)],
-            Sense::Le,
-            1.0,
-        );
-        let pre = presolve(&p);
-        assert_eq!(pre.fixed[0], None, "a0 must survive: a1 is cut-limited");
+        // Without the cut, b1 dominates b0; once b1 is a member of a
+        // forbidden selection, b0 must survive as the fallback.
+        let pre = presolve(&two_classes(), &[vec![1, 1]]);
+        assert_eq!(pre.candidates[1], vec![0, 1]);
+        // A malformed forbidden entry marks nothing.
+        let pre = presolve(&two_classes(), &[vec![1, 7], vec![1]]);
+        assert_eq!(pre.candidates[1], vec![1]);
     }
 
     #[test]
     fn dominance_never_exhausts_a_group() {
-        // The maximal member of a group is never dominated, so pruning
-        // plus single-candidate propagation leaves exactly one pick.
-        let mut p = Problem::new();
-        let a0 = p.add_binary("a0");
-        let a1 = p.add_binary("a1");
-        p.set_objective_coeff(a0, 1.0);
-        p.set_objective_coeff(a1, 2.0);
-        p.add_constraint("one", vec![(a0, 1.0), (a1, 1.0)], Sense::Eq, 1.0);
-        let pre = presolve(&p);
-        assert!(!pre.infeasible);
-        assert_eq!(pre.fixed[0], Some(false));
-        assert_eq!(pre.fixed[1], Some(true));
-    }
-
-    #[test]
-    fn non_group_rows_are_ignored() {
-        let mut p = Problem::new();
-        let a = p.add_binary("a");
-        let b = p.add_binary("b");
-        p.set_objective_coeff(a, 1.0);
-        p.set_objective_coeff(b, 2.0);
-        // Eq but rhs != 1, and Le rows: no group structure to exploit.
-        p.add_constraint("two", vec![(a, 1.0), (b, 1.0)], Sense::Eq, 2.0);
-        p.add_constraint("cap", vec![(a, 1.0), (b, 1.0)], Sense::Le, 2.0);
-        let pre = presolve(&p);
-        assert_eq!(pre.fixed, vec![None, None]);
-        assert_eq!(pre.eliminated, 0);
-    }
-
-    /// The pre-refactor row-major scan, kept as the reference the SoA
-    /// column streaming must agree with on every pair.
-    fn naive_swap_always_feasible(problem: &Problem, group_row: usize, i: usize, k: usize) -> bool {
-        for (r, c) in problem.constraints.iter().enumerate() {
-            if r == group_row {
-                continue;
-            }
-            let mut ai = 0.0;
-            let mut ak = 0.0;
-            for &(v, a) in &c.terms {
-                if v.0 == i {
-                    ai += a;
-                } else if v.0 == k {
-                    ak += a;
-                }
-            }
-            let ok = match c.sense {
-                Sense::Le => ai <= ak,
-                Sense::Ge => ai >= ak,
-                Sense::Eq => ai == ak,
-            };
-            if !ok {
-                return false;
-            }
-        }
-        true
-    }
-
-    #[test]
-    fn column_streaming_matches_row_scan_on_all_pairs() {
-        let mut p = two_group_problem();
-        // Rows exercising every sense, duplicate terms (accumulated in
-        // term order), and variables absent from most rows.
-        p.add_constraint(
-            "dup",
-            vec![(VarId(0), 0.1), (VarId(0), 0.2), (VarId(2), 0.3)],
-            Sense::Ge,
-            0.0,
-        );
-        p.add_constraint("eq", vec![(VarId(1), 2.0), (VarId(3), 2.0)], Sense::Eq, 2.0);
-        let cols = ColumnTable::build(&p);
-        let n = p.variable_count();
-        for group_row in 0..p.constraints.len() {
-            for i in 0..n {
-                for k in 0..n {
-                    if i == k {
-                        continue;
-                    }
-                    assert_eq!(
-                        swap_always_feasible(&p, &cols, group_row, i, k),
-                        naive_swap_always_feasible(&p, group_row, i, k),
-                        "pair ({i}, {k}) under group row {group_row}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn column_table_accumulates_duplicates_in_term_order() {
-        let mut p = Problem::new();
-        let a = p.add_binary("a");
-        let b = p.add_binary("b");
-        p.add_constraint("r", vec![(a, 0.1), (b, 1.0), (a, 0.2)], Sense::Le, 1.0);
-        let cols = ColumnTable::build(&p);
-        let (rows, coeffs) = cols.column(0);
-        assert_eq!(rows, &[0]);
-        assert_eq!(coeffs[0].to_bits(), (0.1f64 + 0.2).to_bits());
-        let (rows, coeffs) = cols.column(1);
-        assert_eq!((rows, coeffs), (&[0u32][..], &[1.0][..]));
-    }
-
-    #[test]
-    fn duplicate_variable_rows_are_not_groups() {
-        let mut p = Problem::new();
-        let a = p.add_binary("a");
-        p.set_objective_coeff(a, 1.0);
-        p.add_constraint("dup", vec![(a, 1.0), (a, 1.0)], Sense::Eq, 1.0);
-        assert_eq!(group_members(&p, 0), None);
+        let pre = presolve(&[class(&[(1.0, 2), (2.0, 1), (1.5, 1)])], &[vec![0]]);
+        assert_eq!(pre.candidates, vec![vec![1]]);
+        assert_eq!(pre.eliminated, 3);
     }
 }

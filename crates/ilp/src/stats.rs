@@ -1,10 +1,9 @@
 //! Process-wide solver counters.
 //!
-//! The ILP solver is the hot path of the whole exploration loop (warm
-//! sweeps spend essentially all their wall time here — EXPERIMENTS E13),
-//! so the solver keeps a handful of cheap atomic counters that ermesd
-//! exports on `/metrics` (`ermes_ilp_nodes_total`,
-//! `ermes_ilp_warmstart_hits_total`) and the CLI prints after
+//! Selection is the hot path of the MPEG-2 exploration loop (warm sweeps
+//! spend most of their wall time here — EXPERIMENTS E13), so the solver
+//! keeps a handful of cheap atomic counters that ermesd exports on
+//! `/metrics` (`ermes_ilp_nodes_total`) and the CLI prints after
 //! `--trace-summary`. Counters are cumulative for the process; callers
 //! that want per-run numbers snapshot [`stats`] before and after and
 //! subtract with [`IlpStats::delta_since`].
@@ -13,28 +12,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static SOLVES: AtomicU64 = AtomicU64::new(0);
 static NODES: AtomicU64 = AtomicU64::new(0);
-static WARM_HITS: AtomicU64 = AtomicU64::new(0);
-static WARM_MISSES: AtomicU64 = AtomicU64::new(0);
 static PRESOLVE_FIXED: AtomicU64 = AtomicU64::new(0);
 
-/// A snapshot of the process-wide ILP solver counters.
+/// A snapshot of the process-wide solver counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IlpStats {
-    /// Integer problems solved (branch & bound runs, any engine).
+    /// Selection problems solved.
     pub solves: u64,
-    /// Branch & bound nodes popped across all solves.
+    /// Branch & bound nodes whose LP relaxation was evaluated, roots
+    /// included, across all solves.
     pub nodes: u64,
-    /// Node LPs satisfied by basis reuse: a child reoptimized from its
-    /// parent's optimal basis (in place or by reinstatement), or a root
-    /// accepted from a basis carried over from a previous, related
-    /// problem.
+    /// Always 0: the MCKP engine carries no simplex basis between
+    /// nodes or solves. Kept so existing readers of the struct build.
     pub warmstart_hits: u64,
-    /// Node LPs that had to solve cold: the root of a cold solve, a
-    /// failed reinstatement (dimension mismatch, singular pivot), an
-    /// iteration-limited reoptimization, or a carried root basis
-    /// rejected by the determinism gate.
+    /// Always 0, like [`IlpStats::warmstart_hits`].
     pub warmstart_misses: u64,
-    /// Variables fixed by the MCKP presolve before search started.
+    /// Items decided by the dominance presolve before search started.
     pub presolve_fixed: u64,
 }
 
@@ -46,26 +39,9 @@ impl IlpStats {
         IlpStats {
             solves: self.solves.saturating_sub(earlier.solves),
             nodes: self.nodes.saturating_sub(earlier.nodes),
-            warmstart_hits: self.warmstart_hits.saturating_sub(earlier.warmstart_hits),
-            warmstart_misses: self
-                .warmstart_misses
-                .saturating_sub(earlier.warmstart_misses),
+            warmstart_hits: 0,
+            warmstart_misses: 0,
             presolve_fixed: self.presolve_fixed.saturating_sub(earlier.presolve_fixed),
-        }
-    }
-
-    /// Warm-start hit rate over all node LPs, in `[0, 1]`; `0.0` when
-    /// none were solved.
-    #[must_use]
-    pub fn warmstart_rate(&self) -> f64 {
-        let attempts = self.warmstart_hits + self.warmstart_misses;
-        if attempts == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.warmstart_hits as f64 / attempts as f64
-            }
         }
     }
 }
@@ -76,8 +52,8 @@ pub fn stats() -> IlpStats {
     IlpStats {
         solves: SOLVES.load(Ordering::Relaxed),
         nodes: NODES.load(Ordering::Relaxed),
-        warmstart_hits: WARM_HITS.load(Ordering::Relaxed),
-        warmstart_misses: WARM_MISSES.load(Ordering::Relaxed),
+        warmstart_hits: 0,
+        warmstart_misses: 0,
         presolve_fixed: PRESOLVE_FIXED.load(Ordering::Relaxed),
     }
 }
@@ -88,15 +64,6 @@ pub(crate) fn record_solve() {
 
 pub(crate) fn record_nodes(nodes: u64) {
     NODES.fetch_add(nodes, Ordering::Relaxed);
-}
-
-pub(crate) fn record_warmstarts(hits: u64, misses: u64) {
-    if hits > 0 {
-        WARM_HITS.fetch_add(hits, Ordering::Relaxed);
-    }
-    if misses > 0 {
-        WARM_MISSES.fetch_add(misses, Ordering::Relaxed);
-    }
 }
 
 pub(crate) fn record_presolve_fixed(count: u64) {
@@ -110,28 +77,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn delta_and_rate() {
+    fn delta_since_subtracts_fieldwise() {
         let earlier = IlpStats {
             solves: 2,
             nodes: 10,
-            warmstart_hits: 1,
-            warmstart_misses: 1,
             presolve_fixed: 4,
+            ..IlpStats::default()
         };
         let later = IlpStats {
             solves: 5,
             nodes: 25,
-            warmstart_hits: 4,
-            warmstart_misses: 1,
             presolve_fixed: 10,
+            ..IlpStats::default()
         };
         let d = later.delta_since(&earlier);
-        assert_eq!(d.solves, 3);
-        assert_eq!(d.nodes, 15);
-        assert_eq!(d.warmstart_hits, 3);
-        assert_eq!(d.warmstart_misses, 0);
-        assert_eq!(d.presolve_fixed, 6);
-        assert!((d.warmstart_rate() - 1.0).abs() < 1e-12);
-        assert_eq!(IlpStats::default().warmstart_rate(), 0.0);
+        assert_eq!((d.solves, d.nodes, d.presolve_fixed), (3, 15, 6));
+        assert_eq!((d.warmstart_hits, d.warmstart_misses), (0, 0));
     }
 }

@@ -1,169 +1,171 @@
-//! Property tests for the ILP stack: the three solvers must be mutually
-//! consistent on arbitrary instances.
+//! Differential tests: the MCKP engine against brute force over every
+//! selection, and against the knapsack DP when there are no cuts.
+//!
+//! Brute force scores a selection by summing its values in class order
+//! — bit for bit the engine's objective — and applies the tie rule on
+//! its own: of the selections attaining the maximum, the
+//! lexicographically greatest.
 
-use ilp::{solve_multiple_choice_knapsack, solve_relaxation, McItem, Problem, Sense, SolveError};
+use ilp::{solve_multiple_choice_knapsack, McItem, Mckp, Row, SolveError};
 use proptest::prelude::*;
 
-/// Random multiple-choice-knapsack instances.
-fn arb_mckp() -> impl Strategy<Value = (Vec<Vec<McItem>>, i64)> {
+/// Every allowed selection's objective, in lexicographic order.
+fn enumerate(p: &Mckp) -> Vec<(f64, Vec<usize>)> {
+    let mut out = Vec::new();
+    let mut sel = vec![0usize; p.classes.len()];
+    loop {
+        let weight: i64 = sel.iter().zip(&p.classes).map(|(&j, c)| c[j].weight).sum();
+        let fits = match p.row {
+            Row::None => true,
+            Row::AtMost(b) => weight <= b,
+            Row::AtLeast(b) => weight >= b,
+        };
+        if fits && !p.forbidden.contains(&sel) {
+            let value: f64 = sel.iter().zip(&p.classes).map(|(&j, c)| c[j].value).sum();
+            out.push((value, sel.clone()));
+        }
+        // Odometer: the last class turns fastest.
+        let Some(c) = (0..sel.len())
+            .rev()
+            .find(|&c| sel[c] + 1 < p.classes[c].len())
+        else {
+            return out;
+        };
+        sel[c] += 1;
+        sel[c + 1..].iter_mut().for_each(|s| *s = 0);
+    }
+}
+
+/// The tie rule's answer by exhaustion.
+fn brute(p: &Mckp) -> Option<(f64, Vec<usize>)> {
+    enumerate(p)
+        .into_iter()
+        .reduce(|best, next| if next.0 >= best.0 { next } else { best })
+}
+
+/// Random problems of all three row forms, with negative weights, a few
+/// random forbidden selections, and then up to three successive optima
+/// forbidden the way the exploration loop does (so the unconstrained
+/// optimum is often cut off).
+fn arb_problem(values: impl Strategy<Value = f64>) -> impl Strategy<Value = Mckp> {
     (
-        proptest::collection::vec(
-            proptest::collection::vec((-5.0f64..15.0, -4i64..9), 1..4),
-            1..5,
-        ),
-        -3i64..20,
+        proptest::collection::vec(proptest::collection::vec((values, -4i64..9), 1..4), 1..5),
+        (0u8..3, -6i64..20),
+        proptest::collection::vec(proptest::collection::vec(0usize..3, 4), 0..3),
+        0usize..4,
     )
-        .prop_map(|(groups, cap)| {
-            (
-                groups
-                    .into_iter()
-                    .map(|g| {
-                        g.into_iter()
-                            .map(|(value, weight)| McItem { value, weight })
-                            .collect()
-                    })
-                    .collect(),
-                cap,
-            )
+        .prop_map(|(classes, (form, bound), random_cuts, optima_cut)| {
+            let classes: Vec<Vec<McItem>> = classes
+                .into_iter()
+                .map(|c| {
+                    c.into_iter()
+                        .map(|(value, weight)| McItem { value, weight })
+                        .collect()
+                })
+                .collect();
+            let forbidden = random_cuts
+                .into_iter()
+                .map(|cut| {
+                    cut.iter()
+                        .zip(&classes)
+                        .map(|(&j, c)| j % c.len())
+                        .collect()
+                })
+                .collect();
+            let row = [Row::None, Row::AtMost(bound), Row::AtLeast(bound)][usize::from(form)];
+            let mut p = Mckp {
+                classes,
+                row,
+                forbidden,
+            };
+            for _ in 0..optima_cut {
+                if let Some((_, sel)) = brute(&p) {
+                    p.forbidden.push(sel);
+                }
+            }
+            p
         })
 }
 
-/// Builds the equivalent 0/1 ILP of an MCKP instance.
-fn mckp_as_ilp(groups: &[Vec<McItem>], cap: i64) -> Problem {
-    let mut p = Problem::new();
-    let mut cap_terms = Vec::new();
-    for (g, items) in groups.iter().enumerate() {
-        let vars: Vec<_> = items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let v = p.add_binary(format!("x{g}_{i}"));
-                p.set_objective_coeff(v, item.value);
-                cap_terms.push((v, item.weight as f64));
-                v
-            })
-            .collect();
-        p.add_constraint(
-            format!("one{g}"),
-            vars.iter().map(|&v| (v, 1.0)).collect(),
-            Sense::Eq,
-            1.0,
-        );
+/// The engine returns exactly the brute-force answer, bits included.
+fn check(p: &Mckp) -> Result<(), TestCaseError> {
+    match (p.solve(), brute(p)) {
+        (Err(SolveError::Infeasible), None) => {}
+        (Ok(s), Some((value, choices))) => {
+            prop_assert_eq!(&s.choices, &choices, "problem {:?}", p);
+            prop_assert_eq!(s.value, value);
+        }
+        (s, b) => prop_assert!(false, "engine {s:?} vs brute force {b:?} on {p:?}"),
     }
-    p.add_constraint("cap", cap_terms, Sense::Le, cap as f64);
-    p
+    Ok(())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The DP and branch & bound agree on every MCKP instance.
+    /// Continuous values: ties are rare, so this pins the optimum.
     #[test]
-    fn dp_equals_branch_and_bound((groups, cap) in arb_mckp()) {
-        let dp = solve_multiple_choice_knapsack(&groups, cap);
-        let bb = mckp_as_ilp(&groups, cap).solve();
-        match (dp, bb) {
+    fn engine_matches_brute_force(p in arb_problem(-5.0f64..15.0)) {
+        check(&p)?;
+    }
+
+    /// Small integer values: most optima are tied, so this pins the
+    /// tie rule.
+    #[test]
+    fn tie_heavy_instances_match_brute_force(p in arb_problem((0u8..4).prop_map(f64::from))) {
+        check(&p)?;
+    }
+
+    /// Without cuts the DP oracle agrees on the optimum.
+    #[test]
+    fn dp_equals_branch_and_bound(p in arb_problem(-5.0f64..15.0)) {
+        let cap = match p.row {
+            Row::AtMost(b) => b,
+            _ => return Ok(()),
+        };
+        let p = Mckp { forbidden: Vec::new(), ..p };
+        match (solve_multiple_choice_knapsack(&p.classes, cap), p.solve()) {
             (Err(_), Err(SolveError::Infeasible)) => {}
-            (Ok(d), Ok(b)) => {
-                prop_assert!((d.value - b.objective).abs() < 1e-6,
-                    "dp {} vs bb {}", d.value, b.objective);
-            }
+            (Ok(d), Ok(b)) => prop_assert!((d.value - b.value).abs() < 1e-9,
+                "dp {} vs engine {}", d.value, b.value),
             (d, b) => prop_assert!(false, "feasibility divergence: {d:?} vs {b:?}"),
         }
     }
 
-    /// The LP relaxation upper-bounds the integer optimum.
+    /// Returned selections pick one item per class, respect the row, are
+    /// not forbidden, and report their own value and weight.
     #[test]
-    fn relaxation_bounds_integer_optimum((groups, cap) in arb_mckp()) {
-        let p = mckp_as_ilp(&groups, cap);
-        if let (Ok(lp), Ok(int)) = (solve_relaxation(&p), p.solve()) {
-            prop_assert!(lp.objective >= int.objective - 1e-6,
-                "relaxation {} below integer {}", lp.objective, int.objective);
-        }
-    }
-
-    /// Relaxation values stay within the unit box.
-    #[test]
-    fn relaxation_respects_bounds((groups, cap) in arb_mckp()) {
-        let p = mckp_as_ilp(&groups, cap);
-        if let Ok(lp) = solve_relaxation(&p) {
-            for &v in &lp.values {
-                prop_assert!((-1e-7..=1.0 + 1e-7).contains(&v), "value {v} out of box");
-            }
-        }
-    }
-
-    /// The bounded-variable engine and the frozen seed engine agree on
-    /// objective value for every instance (the determinism suites
-    /// additionally check full bit-identity end to end).
-    #[test]
-    fn bounded_and_seed_engines_agree((groups, cap) in arb_mckp()) {
-        let p = mckp_as_ilp(&groups, cap);
-        match (p.solve(), ilp::seed::solve(&p)) {
-            (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
-            (Ok(new), Ok(old)) => {
-                prop_assert!((new.objective - old.objective).abs() < 1e-9,
-                    "bounded {} vs seed {}", new.objective, old.objective);
-            }
-            (new, old) => prop_assert!(false,
-                "feasibility divergence: bounded {new:?} vs seed {old:?}"),
-        }
-    }
-
-    /// Same for the plain LP relaxations.
-    #[test]
-    fn bounded_and_seed_relaxations_agree((groups, cap) in arb_mckp()) {
-        let p = mckp_as_ilp(&groups, cap);
-        match (solve_relaxation(&p), ilp::seed::solve_relaxation(&p)) {
-            (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
-            (Ok(new), Ok(old)) => {
-                prop_assert!((new.objective - old.objective).abs() < 1e-6,
-                    "bounded {} vs seed {}", new.objective, old.objective);
-            }
-            (new, old) => prop_assert!(false,
-                "feasibility divergence: bounded {new:?} vs seed {old:?}"),
-        }
-    }
-
-    /// A warm-started solver re-solving the same problem lands on
-    /// bitwise the same answer as its first (cold) solve.
-    #[test]
-    fn warm_resolve_is_bitwise_idempotent((groups, cap) in arb_mckp()) {
-        let p = mckp_as_ilp(&groups, cap);
-        let mut solver = ilp::Solver::new();
-        if let Ok(first) = solver.solve(&p) {
-            let second = solver.solve(&p).expect("feasible stays feasible");
-            prop_assert_eq!(first.objective.to_bits(), second.objective.to_bits());
-            prop_assert_eq!(first.values, second.values);
-        }
-    }
-
-    /// Integer solutions satisfy every constraint exactly.
-    #[test]
-    fn integer_solutions_are_feasible((groups, cap) in arb_mckp()) {
-        let p = mckp_as_ilp(&groups, cap);
+    fn integer_solutions_are_feasible(p in arb_problem(-5.0f64..15.0)) {
         if let Ok(s) = p.solve() {
-            // One per group.
-            let mut offset = 0;
-            for items in &groups {
-                let chosen: usize = (0..items.len())
-                    .filter(|i| s.values[offset + i] > 0.5)
-                    .count();
-                prop_assert_eq!(chosen, 1);
-                offset += items.len();
+            prop_assert_eq!(s.choices.len(), p.classes.len());
+            prop_assert!(!p.forbidden.contains(&s.choices));
+            let weight: i64 = s.choices.iter().zip(&p.classes).map(|(&j, c)| c[j].weight).sum();
+            prop_assert_eq!(s.weight, weight);
+            match p.row {
+                Row::None => {}
+                Row::AtMost(b) => prop_assert!(weight <= b),
+                Row::AtLeast(b) => prop_assert!(weight >= b),
             }
-            // Capacity.
-            let mut weight = 0i64;
-            let mut offset = 0;
-            for items in &groups {
-                for (i, item) in items.iter().enumerate() {
-                    if s.values[offset + i] > 0.5 {
-                        weight += item.weight;
-                    }
-                }
-                offset += items.len();
-            }
-            prop_assert!(weight <= cap);
+            let value: f64 = s.choices.iter().zip(&p.classes).map(|(&j, c)| c[j].value).sum();
+            prop_assert_eq!(s.value, value);
         }
     }
+}
+
+/// Item 1 is strictly dominated by item 0 (more value, same weight), but
+/// every selection using item 0 is forbidden: the dominated item is the
+/// only way left, so the presolve must keep it.
+#[test]
+fn only_allowed_optimum_uses_a_dominated_item() {
+    let item = |value, weight| McItem { value, weight };
+    let p = Mckp {
+        classes: vec![
+            vec![item(2.0, 1), item(1.0, 1)],
+            vec![item(0.0, 0), item(-1.0, 0)],
+        ],
+        row: Row::AtMost(1),
+        forbidden: vec![vec![0, 0], vec![0, 1]],
+    };
+    let s = p.solve().expect("one allowed optimum");
+    assert_eq!((s.choices, s.value), (vec![1, 0], 1.0));
 }

@@ -1,223 +1,144 @@
-//! Regression cases for the solver stack: degenerate and cycling-prone
-//! LPs, tie-heavy instances, and engine cross-checks on the exact
-//! constraint shapes `core::opt` emits.
-//!
-//! The bounded-variable simplex guards against cycling with an
-//! iteration cap and a Bland-style lowest-index fallback, and as a last
-//! resort re-solves a pathological node with the frozen seed simplex
-//! (whose Bland rule carries the textbook guarantee). These cases pin
-//! the shapes that historically make simplex implementations loop:
-//! massive degeneracy (many constraints active at one vertex), dense
-//! reduced-cost ties, and Beale's classic cycling coefficients.
+//! Regression cases for the MCKP engine on the shapes `core::opt`
+//! emits and on the degenerate corners of the hull relaxation: tie-heavy
+//! classes, single-point hulls, negative bounds and weights, and
+//! infeasibility.
 
-use ilp::{solve_relaxation, Problem, Sense, SolveError, Solver, VarId};
+use ilp::{solve_multiple_choice_knapsack, McItem, Mckp, Row, SolveError};
 
-/// Brute-force oracle over all 2^n assignments.
-fn brute(problem: &Problem) -> Option<f64> {
-    let n = problem.variable_count();
-    assert!(n <= 16, "oracle only for tiny problems");
-    let mut best: Option<f64> = None;
-    for mask in 0..(1u32 << n) {
-        let values: Vec<f64> = (0..n).map(|j| f64::from((mask >> j) & 1)).collect();
-        let feasible = problem.constraints().iter().all(|c| {
-            let lhs: f64 = c.terms().iter().map(|&(v, a)| a * values[v.index()]).sum();
-            match c.sense() {
-                Sense::Le => lhs <= c.rhs() + 1e-9,
-                Sense::Ge => lhs >= c.rhs() - 1e-9,
-                Sense::Eq => (lhs - c.rhs()).abs() <= 1e-9,
-            }
-        });
-        if feasible {
-            let obj: f64 = values
-                .iter()
-                .zip(problem.objective_coeffs())
-                .map(|(&v, &c)| v * c)
-                .sum();
-            if best.is_none_or(|b| obj > b) {
-                best = Some(obj);
-            }
-        }
-    }
-    best
+fn class(items: &[(f64, i64)]) -> Vec<McItem> {
+    items
+        .iter()
+        .map(|&(value, weight)| McItem { value, weight })
+        .collect()
 }
 
-fn assert_engines_agree(p: &Problem) {
-    let new = p.solve();
-    let old = ilp::seed::solve(p);
-    match (new, old) {
-        (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
-        (Ok(a), Ok(b)) => {
-            assert!(
-                (a.objective - b.objective).abs() < 1e-9,
-                "bounded {} vs seed {}",
-                a.objective,
-                b.objective
-            );
-            if let Some(oracle) = (p.variable_count() <= 16).then(|| brute(p)).flatten() {
-                assert!(
-                    (a.objective - oracle).abs() < 1e-6,
-                    "bounded {} vs oracle {oracle}",
-                    a.objective
-                );
-            }
-        }
-        (a, b) => panic!("feasibility divergence: bounded {a:?} vs seed {b:?}"),
-    }
-}
-
-/// Beale's classic cycling coefficients (the standard example that
-/// loops Dantzig-rule simplex without an anti-cycling rule), restated
-/// over binaries. The bounded solver must terminate and agree with the
-/// seed engine and the oracle.
-#[test]
-fn beale_cycling_coefficients_terminate() {
-    let mut p = Problem::new();
-    let x1 = p.add_binary("x1");
-    let x2 = p.add_binary("x2");
-    let x3 = p.add_binary("x3");
-    let x4 = p.add_binary("x4");
-    p.set_objective_coeff(x1, 0.75);
-    p.set_objective_coeff(x2, -150.0);
-    p.set_objective_coeff(x3, 0.02);
-    p.set_objective_coeff(x4, -6.0);
-    p.add_constraint(
-        "r1",
-        vec![(x1, 0.25), (x2, -60.0), (x3, -1.0 / 25.0), (x4, 9.0)],
-        Sense::Le,
-        0.0,
-    );
-    p.add_constraint(
-        "r2",
-        vec![(x1, 0.5), (x2, -90.0), (x3, -1.0 / 50.0), (x4, 3.0)],
-        Sense::Le,
-        0.0,
-    );
-    p.add_constraint("r3", vec![(x3, 1.0)], Sense::Le, 1.0);
-    let lp = solve_relaxation(&p).expect("terminates");
-    assert!(lp.objective.is_finite());
-    assert_engines_agree(&p);
-}
-
-/// Kuhn-style degeneracy: every constraint is active at the origin, so
-/// early pivots are all zero-length and reduced costs tie densely.
-#[test]
-fn fully_degenerate_vertex_terminates() {
-    let mut p = Problem::new();
-    let vars: Vec<VarId> = (0..6).map(|i| p.add_binary(format!("x{i}"))).collect();
-    for &v in &vars {
-        p.set_objective_coeff(v, 1.0);
-    }
-    // Six redundant rows all tight at x = 0, with ties everywhere.
-    for k in 0..6 {
-        let terms: Vec<(VarId, f64)> = vars
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, if (i + k) % 2 == 0 { 1.0 } else { -1.0 }))
-            .collect();
-        p.add_constraint(format!("tight{k}"), terms, Sense::Le, 0.0);
-    }
-    assert_engines_agree(&p);
-}
-
-/// Dense objective ties: every implementation has the same gain, so
-/// Dantzig pricing ties on every column and the strict `>` comparisons
-/// must keep the scan deterministic (lowest index wins).
+/// Every item has the same value: all selections tie, so the tie rule
+/// alone decides, and it must give the same answer however the row and
+/// the cuts move the optimum set.
 #[test]
 fn uniform_objective_ties_are_deterministic() {
-    let build = || {
-        let mut p = Problem::new();
-        let vars: Vec<VarId> = (0..8).map(|i| p.add_binary(format!("x{i}"))).collect();
-        for &v in &vars {
-            p.set_objective_coeff(v, 1.0);
-        }
-        p.add_constraint(
-            "cap",
-            vars.iter().map(|&v| (v, 1.0)).collect(),
-            Sense::Le,
-            3.5,
-        );
-        p
+    let items = class(&[(0.5, 0), (0.5, 2), (0.5, 1), (0.5, 3)]);
+    let mut p = Mckp {
+        classes: vec![items.clone(), items.clone(), items],
+        row: Row::AtMost(3),
+        forbidden: vec![],
     };
-    let a = build().solve().expect("feasible");
-    let b = build().solve().expect("feasible");
-    assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-    assert_eq!(
-        a.values, b.values,
-        "repeat solves must pick the same argmax"
-    );
-    assert_eq!(a.objective, 3.0);
+    let first = p.solve().expect("feasible");
+    assert_eq!(first.choices, vec![3, 0, 0]);
+    for _ in 0..5 {
+        assert_eq!(p.solve().expect("feasible"), first);
+    }
+    p.forbidden.push(first.choices);
+    assert_eq!(p.solve().expect("feasible").choices, vec![2, 2, 2]);
 }
 
-/// Redundant duplicate rows keep the reinstatement path honest: the
-/// saved basis stays valid even when the constraint matrix is singular
-/// row-wise.
+/// Only the exactly-one rows (the max-gain form): every class takes its
+/// best item, and a cut on that selection moves exactly one class to its
+/// runner-up.
 #[test]
-fn duplicate_rows_and_warm_start() {
-    let mut solver = Solver::new();
-    for extra in 0..3 {
-        let mut p = Problem::new();
-        let a = p.add_binary("a");
-        let b = p.add_binary("b");
-        p.set_objective_coeff(a, 2.0);
-        p.set_objective_coeff(b, 3.0);
-        for k in 0..=extra {
-            p.add_constraint(format!("cap{k}"), vec![(a, 1.0), (b, 1.0)], Sense::Le, 1.0);
+fn equality_only_system() {
+    let mut p = Mckp {
+        classes: vec![
+            class(&[(10.0, 0), (4.0, 0), (0.0, 0)]),
+            class(&[(6.0, 0), (5.0, 0), (0.0, 0)]),
+        ],
+        row: Row::None,
+        forbidden: vec![],
+    };
+    assert_eq!(p.solve().expect("feasible").choices, vec![0, 0]);
+    p.forbidden.push(vec![0, 0]);
+    let s = p.solve().expect("feasible");
+    assert_eq!((s.choices, s.value), (vec![0, 1], 15.0));
+}
+
+/// Every item of a class has the same weight, so each hull is a single
+/// point and the relaxation is integral at once.
+#[test]
+fn fully_degenerate_vertex_terminates() {
+    let p = Mckp {
+        classes: (0..8)
+            .map(|c| class(&[(1.0, c), (2.0, c), (0.5, c)]))
+            .collect(),
+        row: Row::AtMost(28),
+        forbidden: vec![],
+    };
+    let s = p.solve().expect("feasible");
+    assert_eq!((s.choices, s.value, s.weight), (vec![1; 8], 16.0, 28));
+    assert_eq!(
+        Mckp {
+            row: Row::AtMost(27),
+            ..p
         }
-        let s = solver.solve(&p).expect("feasible");
-        assert_eq!(s.objective, 3.0);
-        assert!(s.is_one(b));
+        .solve(),
+        Err(SolveError::Infeasible)
+    );
+}
+
+/// The timing-dual shape: a `>=` row over latency gains, with negative
+/// gains (slower implementations) and a negative bound, checked against
+/// the DP on the negated row.
+#[test]
+fn mixed_senses_negative_rhs() {
+    let classes = vec![
+        class(&[(-0.4, 6), (-0.1, 2), (0.0, 0), (0.3, -5)]),
+        class(&[(-0.2, 3), (0.0, 0), (0.25, -4)]),
+        class(&[(0.0, 0), (0.1, -1)]),
+    ];
+    for deficit in [-9i64, -4, 0, 3, 7, 9] {
+        let p = Mckp {
+            classes: classes.clone(),
+            row: Row::AtLeast(deficit),
+            forbidden: vec![],
+        };
+        let negated: Vec<Vec<McItem>> = classes
+            .iter()
+            .map(|c| {
+                c.iter()
+                    .map(|i| McItem {
+                        value: i.value,
+                        weight: -i.weight,
+                    })
+                    .collect()
+            })
+            .collect();
+        match (
+            p.solve(),
+            solve_multiple_choice_knapsack(&negated, -deficit),
+        ) {
+            (Ok(s), Ok(d)) => {
+                assert!((s.value - d.value).abs() < 1e-12, "deficit {deficit}");
+                assert!(s.weight >= deficit);
+            }
+            (Err(SolveError::Infeasible), Err(_)) => assert!(deficit > 9),
+            (s, d) => panic!("deficit {deficit}: engine {s:?} vs dp {d:?}"),
+        }
     }
 }
 
-/// Equality-only systems exercise the fixed-slack columns (both bounds
-/// zero) that replace the seed solver's artificial variables.
-#[test]
-fn equality_only_system() {
-    let mut p = Problem::new();
-    let vars: Vec<VarId> = (0..4).map(|i| p.add_binary(format!("x{i}"))).collect();
-    p.set_objective_coeff(vars[1], 5.0);
-    p.set_objective_coeff(vars[3], -2.0);
-    p.add_constraint("g0", vec![(vars[0], 1.0), (vars[1], 1.0)], Sense::Eq, 1.0);
-    p.add_constraint("g1", vec![(vars[2], 1.0), (vars[3], 1.0)], Sense::Eq, 1.0);
-    p.add_constraint(
-        "link",
-        vec![(vars[1], 1.0), (vars[2], -1.0)],
-        Sense::Eq,
-        0.0,
-    );
-    assert_engines_agree(&p);
-    let s = p.solve().expect("feasible");
-    assert!(s.is_one(vars[1]) && s.is_one(vars[2]));
-}
-
-/// Mixed-sense stress: Ge rows (negative slack bounds) together with
-/// negative right-hand sides, which the bounded solver takes verbatim
-/// (no row normalization step).
-#[test]
-fn mixed_senses_negative_rhs() {
-    let mut p = Problem::new();
-    let a = p.add_binary("a");
-    let b = p.add_binary("b");
-    let c = p.add_binary("c");
-    p.set_objective_coeff(a, -1.0);
-    p.set_objective_coeff(b, 4.0);
-    p.set_objective_coeff(c, 2.0);
-    // -a - b <= -1  <=>  a + b >= 1
-    p.add_constraint("neg", vec![(a, -1.0), (b, -1.0)], Sense::Le, -1.0);
-    p.add_constraint("ge", vec![(b, 1.0), (c, 1.0)], Sense::Ge, 1.0);
-    p.add_constraint("cap", vec![(a, 1.0), (b, 2.0), (c, 3.0)], Sense::Le, 4.0);
-    assert_engines_agree(&p);
-}
-
-/// An infeasible system must be reported identically by both engines
-/// (dual-simplex infeasibility proof vs phase-1 artificial residue).
+/// Infeasibility is reported for an unreachable row, for a class with no
+/// items, and when cuts remove every selection that fits.
 #[test]
 fn infeasibility_detection_matches() {
-    let mut p = Problem::new();
-    let a = p.add_binary("a");
-    let b = p.add_binary("b");
-    p.add_constraint("lo", vec![(a, 1.0), (b, 1.0)], Sense::Ge, 1.8);
-    p.add_constraint("hi", vec![(a, 1.0), (b, 1.0)], Sense::Le, 1.2);
-    assert_engines_agree(&p);
-    assert_eq!(p.solve(), Err(SolveError::Infeasible));
+    let classes = vec![class(&[(1.0, 2), (0.0, 4)]), class(&[(1.0, 1), (0.0, 3)])];
+    let p = |row, forbidden| Mckp {
+        classes: classes.clone(),
+        row,
+        forbidden,
+    };
+    assert_eq!(
+        p(Row::AtMost(2), vec![]).solve(),
+        Err(SolveError::Infeasible)
+    );
+    assert_eq!(
+        p(Row::AtLeast(8), vec![]).solve(),
+        Err(SolveError::Infeasible)
+    );
+    assert_eq!(
+        p(Row::AtMost(3), vec![vec![0, 0]]).solve(),
+        Err(SolveError::Infeasible)
+    );
+    assert!(p(Row::AtMost(3), vec![vec![1, 1]]).solve().is_ok());
+    let mut empty = p(Row::None, vec![]);
+    empty.classes.push(Vec::new());
+    assert_eq!(empty.solve(), Err(SolveError::Infeasible));
 }
